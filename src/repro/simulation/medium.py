@@ -30,10 +30,18 @@ scan: per-query numpy overhead exceeds a 30-iteration Python loop, which is
 what made small scenarios *slower* with the index.  Either path produces
 bit-identical traces — see DESIGN.md §Performance for the invariants.
 
+Promiscuous taps on a unicast skip the bystander sweep whenever no node
+listens (every AODV and OLSR scenario), on either side of the cutoff: the
+sweep's only other effect — lazily advancing every attached node's
+mobility, which consumes shared-RNG waypoint draws — is replayed by
+``position(sender)`` plus one ascending ``advance_all``, so traces stay
+bit-identical.
+
 Delivery fan-out likewise has two modes (see DESIGN.md §Event kernel).  The
 reference mode schedules one kernel event per receiver per broadcast.  The
-batched mode (``event_batch`` / ``REPRO_EVENT_BATCH``) folds a broadcast's
-whole fan-out into one kernel :class:`~repro.simulation.engine.MacroEvent`:
+batched mode (``event_batch`` / ``REPRO_EVENT_BATCH``, the default at every
+node count) folds a broadcast's whole fan-out into one kernel
+:class:`~repro.simulation.engine.MacroEvent`:
 all loss and jitter draws happen in a single pass (same RNG order as the
 per-receiver loop), one engine seq is reserved per surviving receiver (the
 exact seqs the reference would have allocated), arrivals are sorted, and
@@ -105,11 +113,9 @@ class WirelessMedium:
         :class:`~repro.simulation.spatial.SpatialNeighborIndex`.
     event_batch:
         Use macro-event delivery fan-out.  ``None`` (default) follows the
-        simulator's ``event_batch`` resolution but — like the spatial
-        index — falls back to per-receiver reference scheduling below
-        ``small_n_cutoff`` nodes, where fan-outs are too small to
-        amortize the batch machinery; an explicit ``True`` / ``False``
-        forces the choice.  Traces are bit-identical either way.
+        simulator's ``event_batch`` resolution at every node count; an
+        explicit ``True`` / ``False`` forces the choice.  Traces are
+        bit-identical either way.
     small_n_cutoff:
         Node-count floor for the env-default spatial index (see above).
     """
@@ -151,17 +157,9 @@ class WirelessMedium:
             if want_index
             else None
         )
-        # Macro fan-out amortizes per-broadcast costs (macro alloc, entry
-        # sort, batch parking) over the receiver count; below the same
-        # small-n cutoff the typical fan-out is too small to pay for it,
-        # so the env-default resolution keeps the per-receiver reference
-        # scheduling (the bucketed run loop still applies — it wins at
-        # every scale).  An explicit ``event_batch=True`` forces batching.
-        if event_batch is None:
-            want_batch = sim.event_batch and mobility.n_nodes >= small_n_cutoff
-        else:
-            want_batch = bool(event_batch)
-        self.event_batch: bool = want_batch
+        self.event_batch: bool = (
+            sim.event_batch if event_batch is None else bool(event_batch)
+        )
         # Per-node dispatch tables: medium delivery jumps straight to the
         # routing protocol's handler once one is installed (see
         # Node.set_routing), skipping the on_receive trampoline.
@@ -441,15 +439,18 @@ class WirelessMedium:
     def _deliver_taps(self, sender: int, packet: Packet, next_hop: int, rng) -> None:
         """Promiscuous taps: bystanders in range overhear the exchange.
 
-        Fast path: when no registered node listens promiscuously (AODV
-        scenarios), the geometric sweep is skipped entirely.  The naive
-        sweep's side effect of lazily advancing every node's mobility —
-        which consumes shared-RNG waypoint draws — is replicated by an
-        explicit advance, keeping traces bit-identical.  When listeners
-        exist, only *their* distances are tested (ascending id order, the
-        same order the naive neighbor sweep would visit them in).
+        Fast path: when no registered node listens promiscuously (AODV and
+        OLSR scenarios), the geometric sweep is skipped entirely, with or
+        without the spatial index.  The naive sweep's side effect of
+        lazily advancing every attached node's mobility — which consumes
+        shared-RNG waypoint draws — is replicated by an explicit advance
+        (sender first, then ascending ids), keeping traces bit-identical.
+        When listeners exist, only *their* distances are tested
+        (ascending id order, the same order the naive neighbor sweep
+        would visit them in).
         """
-        if not self._index_usable():
+        ids = self._promiscuous_ids
+        if ids.size and not self._index_usable():
             # Reference path: full neighbor sweep, pre-index behaviour.
             for bystander in self.neighbors(sender):
                 if bystander == next_hop:
@@ -464,8 +465,7 @@ class WirelessMedium:
         mobility = self.mobility
         # Draw-order parity with the naive sweep: sender first, then all.
         x, y = mobility.position(sender, t)
-        mobility.advance_all(t)
-        ids = self._promiscuous_ids
+        mobility.advance_all(t, len(self.nodes))
         if ids.size == 0:
             return
         # Prune listeners to the grid block around the sender (a strict

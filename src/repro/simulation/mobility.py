@@ -11,12 +11,22 @@ heap no matter how often positions are queried.
 *absolute velocity* feature (Feature Set I, Table 4) reads it at every
 sampling tick.
 
-Motion state is kept as parallel numpy arrays (struct-of-arrays) so whole
-batches of positions can be evaluated in single vector expressions:
-:meth:`RandomWaypointMobility.positions_at` (all nodes, memoized per
-timestamp — the spatial grid rebuilds from it) and
-:meth:`RandomWaypointMobility.positions_of` (an id subset — neighbor-query
-candidates).
+Motion state is kept in two views that :meth:`~RandomWaypointMobility._advance`
+(the only writer) updates together whenever a node starts a new leg:
+
+* per node, a tuple of Python floats ``(x0, y0, x1, y1, depart, arrive)``
+  beside Python-float pause-until and speed lists — what the scalar
+  queries :meth:`~RandomWaypointMobility.position`,
+  :meth:`~RandomWaypointMobility.speed` and
+  :meth:`~RandomWaypointMobility.distance` read (one tuple unpack, no
+  numpy scalars: the naive neighbour scan below the spatial-index cutoff
+  calls ``position()`` for every node on every transmission);
+* parallel numpy columns (struct-of-arrays), the vectorized view behind
+  :meth:`~RandomWaypointMobility.positions_at` (all nodes, memoized per
+  timestamp — the spatial grid rebuilds from it),
+  :meth:`~RandomWaypointMobility.positions_of` (an id subset —
+  neighbor-query candidates) and
+  :meth:`~RandomWaypointMobility.speeds_at` (the sampling ticks).
 
 Determinism contract
 --------------------
@@ -26,11 +36,13 @@ Two invariants keep the vectorized fast paths bit-identical to the naive
 per-node scans:
 
 * :meth:`advance_all` advances stale nodes in **ascending node-id order** —
-  the same order the naive ``for other in range(n)`` scans used;
+  the same order the naive ``for other in range(n)`` scans used — and
+  takes an optional node count so a partially attached stack advances
+  exactly the nodes such a scan would visit;
 * the vectorized evaluators use the **same IEEE-754 expressions** as the
   scalar :meth:`position` (``frac = (t - depart) / (arrive - depart)``;
-  ``x = x0 + frac * (x1 - x0)``), so vectorized coordinates are bit-equal
-  to scalar ones.
+  ``x = x0 + frac * (x1 - x0)``), and both views hold the same doubles,
+  so vectorized coordinates are bit-equal to scalar ones.
 """
 
 from __future__ import annotations
@@ -79,31 +91,43 @@ class RandomWaypointMobility:
         self.min_speed = min_speed
         self.pause_time = pause_time
         self._rng = rng if rng is not None else random.Random(0)
-        # Struct-of-arrays motion state: one leg of travel plus the pause
-        # after it, per node.  Kept as separate contiguous 1-D arrays —
-        # per-candidate-subset gathers from them beat a fused (6, n)
-        # fancy-index at the subset sizes neighbor queries produce.
-        self._x0 = np.empty(n_nodes)
-        self._y0 = np.empty(n_nodes)
-        self._x1 = np.empty(n_nodes)
-        self._y1 = np.empty(n_nodes)
-        self._depart = np.zeros(n_nodes)
-        self._arrive = np.zeros(n_nodes)
-        self._speed = np.zeros(n_nodes)
-        self._pause_until = np.zeros(n_nodes)
-        #: Lower bound on min(_pause_until): advance_all returns instantly
-        #: while t stays below it.  _advance only ever raises pause times,
-        #: so a stale value is conservative (never skips a due advance).
-        self._next_wake = 0.0
-        for i in range(n_nodes):
-            # Draw order (x then y, node by node) matches the historical
-            # per-node constructor so seeds reproduce identical layouts.
-            x = self._rng.uniform(0, area[0])
-            y = self._rng.uniform(0, area[1])
-            self._x0[i] = x
-            self._y0[i] = y
-            self._x1[i] = x
-            self._y1[i] = y
+        # Draw order (x then y, node by node) matches the historical
+        # per-node constructor so seeds reproduce identical layouts.
+        self._place(
+            [(self._rng.uniform(0, area[0]), self._rng.uniform(0, area[1]))
+             for _ in range(n_nodes)],
+            pause_until=0.0,
+        )
+
+    def _place(self, positions, pause_until: float) -> None:
+        """Initial motion state: every node parked at its position.
+
+        Each node starts on a zero-length leg ending at time 0 and pauses
+        until ``pause_until`` (0 for random waypoint: the first query
+        draws the first leg; infinity for :class:`StaticMobility`).
+        """
+        n = len(positions)
+        xs = [float(x) for x, _ in positions]
+        ys = [float(y) for _, y in positions]
+        #: Scalar view: the current leg of every node as Python floats.
+        self._legs = [(x, y, x, y, 0.0, 0.0) for x, y in zip(xs, ys)]
+        self._pause = [pause_until] * n
+        self._speeds = [0.0] * n
+        # Vectorized view: the same legs as struct-of-arrays columns.
+        # Kept as separate contiguous 1-D arrays — per-candidate-subset
+        # gathers from them beat a fused (6, n) fancy-index at the subset
+        # sizes neighbor queries produce.
+        self._x0 = np.array(xs)
+        self._y0 = np.array(ys)
+        self._x1 = np.array(xs)
+        self._y1 = np.array(ys)
+        self._depart = np.zeros(n)
+        self._arrive = np.zeros(n)
+        self._speed = np.zeros(n)
+        #: Lower bound on min(_pause): advance_all returns instantly while
+        #: t stays below it.  _advance only ever raises pause times, so a
+        #: stale value is conservative (never skips a due advance).
+        self._next_wake = pause_until
         #: Bumped whenever positions change other than by time passing
         #: (teleports in :class:`StaticMobility`); spatial indexes watch it.
         self._version = 0
@@ -117,56 +141,65 @@ class RandomWaypointMobility:
         return self._version
 
     def _advance(self, node_id: int, t: float) -> None:
-        """Advance a node's motion state up to time ``t`` (lazy stepping)."""
-        while t >= self._pause_until[node_id]:
-            # The node has finished its pause at (x1, y1): start a new leg.
-            x0 = float(self._x1[node_id])
-            y0 = float(self._y1[node_id])
-            self._x0[node_id] = x0
-            self._y0[node_id] = y0
-            x1 = self._rng.uniform(0, self.area[0])
-            y1 = self._rng.uniform(0, self.area[1])
-            speed = self._rng.uniform(self.min_speed, self.max_speed)
-            self._x1[node_id] = x1
-            self._y1[node_id] = y1
-            self._speed[node_id] = speed
-            depart = float(self._pause_until[node_id])
-            self._depart[node_id] = depart
-            arrive = depart + math.hypot(x1 - x0, y1 - y0) / speed
-            self._arrive[node_id] = arrive
-            self._pause_until[node_id] = arrive + self.pause_time
+        """Advance a node's motion state up to time ``t`` (lazy stepping).
 
-    def advance_all(self, t: float) -> None:
+        Callers check ``t >= self._pause[node_id]`` first (the common case
+        is no advance, and the check is cheaper than the call).  The only
+        writer of motion state: the leg tuple, pause and speed lists and
+        the numpy columns change here and nowhere else (bar
+        :meth:`StaticMobility.move`), so the two views cannot drift apart.
+        """
+        pause_until = self._pause[node_id]
+        rng = self._rng
+        width, height = self.area
+        x1, y1 = self._legs[node_id][2:4]
+        while t >= pause_until:
+            # The node has finished its pause at (x1, y1): start a new leg.
+            x0, y0 = x1, y1
+            x1 = rng.uniform(0, width)
+            y1 = rng.uniform(0, height)
+            speed = rng.uniform(self.min_speed, self.max_speed)
+            depart = pause_until
+            arrive = depart + math.hypot(x1 - x0, y1 - y0) / speed
+            pause_until = arrive + self.pause_time
+        self._legs[node_id] = (x0, y0, x1, y1, depart, arrive)
+        self._pause[node_id] = pause_until
+        self._speeds[node_id] = speed
+        self._x0[node_id] = x0
+        self._y0[node_id] = y0
+        self._x1[node_id] = x1
+        self._y1[node_id] = y1
+        self._depart[node_id] = depart
+        self._arrive[node_id] = arrive
+        self._speed[node_id] = speed
+
+    def advance_all(self, t: float, n: int | None = None) -> None:
         """Advance every stale node to ``t``, in ascending node-id order.
 
-        The common case (no node due) costs one scalar comparison against
-        the cached ``_next_wake`` bound.  The ascending order replicates
-        the draw sequence of the naive ``for other in range(n):
-        position(other, t)`` scans, so the shared-RNG stream is unchanged
-        — see the module docstring.
+        ``n`` bounds the sweep to nodes ``0..n-1`` (the medium passes its
+        attached-node count).  The common case (no node due) costs one
+        scalar comparison against the cached ``_next_wake`` bound.  The
+        ascending order replicates the draw sequence of the naive ``for
+        other in range(n): position(other, t)`` scans, so the shared-RNG
+        stream is unchanged — see the module docstring.
         """
         if t < self._next_wake:
             return
-        stale = self._pause_until <= t
-        if stale.any():
-            for node_id in np.nonzero(stale)[0]:
-                self._advance(int(node_id), t)
-        self._next_wake = float(self._pause_until.min())
+        pause = self._pause
+        for node_id in range(self.n_nodes if n is None else n):
+            if t >= pause[node_id]:
+                self._advance(node_id, t)
+        self._next_wake = min(pause)
 
     def position(self, node_id: int, t: float) -> tuple[float, float]:
         """Position of ``node_id`` at simulation time ``t``."""
-        self._advance(node_id, t)
-        arrive = self._arrive[node_id]
-        depart = self._depart[node_id]
+        if t >= self._pause[node_id]:
+            self._advance(node_id, t)
+        x0, y0, x1, y1, depart, arrive = self._legs[node_id]
         if t >= arrive or arrive == depart:
-            return (float(self._x1[node_id]), float(self._y1[node_id]))
+            return (x1, y1)
         frac = (t - depart) / (arrive - depart)
-        x0 = self._x0[node_id]
-        y0 = self._y0[node_id]
-        return (
-            float(x0 + frac * (self._x1[node_id] - x0)),
-            float(y0 + frac * (self._y1[node_id] - y0)),
-        )
+        return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
     def _interpolate(self, idx, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized position evaluation over ``idx`` (slice or id array).
@@ -227,10 +260,11 @@ class RandomWaypointMobility:
 
     def speed(self, node_id: int, t: float) -> float:
         """Current scalar speed: the leg speed while moving, 0 while paused."""
-        self._advance(node_id, t)
-        if t >= self._arrive[node_id]:
+        if t >= self._pause[node_id]:
+            self._advance(node_id, t)
+        if t >= self._legs[node_id][5]:
             return 0.0
-        return float(self._speed[node_id])
+        return self._speeds[node_id]
 
     def speeds_at(self, t: float) -> list[float]:
         """Vectorized scalar speeds of all nodes at time ``t``.
@@ -251,7 +285,8 @@ class RandomWaypointMobility:
 class StaticMobility(RandomWaypointMobility):
     """Fixed node placement — useful for deterministic unit tests.
 
-    Nodes never move; ``speed()`` is always zero.
+    Nodes never move (every node pauses forever on a zero-length leg, so
+    the inherited queries never draw); ``speed()`` is always zero.
     """
 
     def __init__(self, positions: list[tuple[float, float]]):
@@ -264,36 +299,12 @@ class StaticMobility(RandomWaypointMobility):
         self.max_speed = 0.0
         self.min_speed = 0.0
         self.pause_time = math.inf
-        self._positions = list(positions)
-        self._version = 0
-        self._pos_cache = None
-
-    def advance_all(self, t: float) -> None:
-        pass
-
-    def position(self, node_id: int, t: float) -> tuple[float, float]:
-        return self._positions[node_id]
-
-    def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        cache = self._pos_cache
-        if cache is not None and cache[1] == self._version:
-            return cache[2], cache[3]
-        xs = np.array([x for x, _ in self._positions])
-        ys = np.array([y for _, y in self._positions])
-        self._pos_cache = (0.0, self._version, xs, ys)
-        return xs, ys
-
-    def positions_of(self, ids: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = self.positions_at(t)
-        return xs[ids], ys[ids]
-
-    def speed(self, node_id: int, t: float) -> float:
-        return 0.0
-
-    def speeds_at(self, t: float) -> list[float]:
-        return [0.0] * self.n_nodes
+        self._place(positions, pause_until=math.inf)
 
     def move(self, node_id: int, position: tuple[float, float]) -> None:
         """Teleport a node (tests use this to break and form links)."""
-        self._positions[node_id] = position
+        x, y = float(position[0]), float(position[1])
+        self._legs[node_id] = (x, y, x, y, 0.0, 0.0)
+        self._x0[node_id] = self._x1[node_id] = x
+        self._y0[node_id] = self._y1[node_id] = y
         self._version += 1

@@ -243,9 +243,12 @@ class RouteLengthRing:
             self._evicted_prefix = self._prefix[head - 1]
             self._head = head
         if head >= _COMPACT_THRESHOLD and head * 2 >= len(times):
-            del self._times[:head]
-            del self._prefix[:head]
-            self._head = 0
+            # Keep the newest sample's slot even when it is evicted: push
+            # orders new samples against ``_times[-1]``.
+            cut = min(head, end - 1)
+            del self._times[:cut]
+            del self._prefix[:cut]
+            self._head = head - cut
 
     # ------------------------------------------------------------------
     # Durability

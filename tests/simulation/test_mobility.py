@@ -2,8 +2,11 @@
 
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation.mobility import RandomWaypointMobility, StaticMobility
 
@@ -90,3 +93,96 @@ class TestStaticMobility:
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
             StaticMobility([])
+
+
+# ----------------------------------------------------------------------
+# The two motion-state views and the shared-RNG contract (property tests)
+# ----------------------------------------------------------------------
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+#: Non-decreasing query times: running sums of non-negative steps (zero
+#: steps repeat an instant; long steps cross several legs in one advance).
+query_times = st.lists(
+    st.floats(min_value=0.0, max_value=120.0, allow_nan=False), min_size=1, max_size=25
+).map(lambda steps: [sum(steps[: k + 1]) for k in range(len(steps))])
+
+
+def make_model(n_nodes: int, seed: int, pause_time: float) -> RandomWaypointMobility:
+    return RandomWaypointMobility(
+        n_nodes=n_nodes, pause_time=pause_time, rng=random.Random(seed)
+    )
+
+
+class TestMobilityViews:
+    @given(
+        n_nodes=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        pause_time=st.sampled_from([0.0, 2.5, 10.0]),
+        times=query_times,
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_and_vector_views_agree_bit_for_bit(
+        self, n_nodes, seed, pause_time, times, data
+    ):
+        """position/speed (float tuples) == positions_at/speeds_at (columns)."""
+        model = make_model(n_nodes, seed, pause_time)
+        for t in times:
+            # Some nodes advance through the scalar path first, the rest
+            # through the vectorized advance: both orders must agree.
+            early = data.draw(st.sets(st.integers(0, n_nodes - 1)))
+            scalar = {i: (model.position(i, t), model.speed(i, t)) for i in sorted(early)}
+            xs, ys = model.positions_at(t)
+            speeds = model.speeds_at(t)
+            for i in range(n_nodes):
+                x, y = model.position(i, t)
+                assert (bits(x), bits(y)) == (bits(xs[i]), bits(ys[i]))
+                assert bits(model.speed(i, t)) == bits(speeds[i])
+                ids = np.array([i])
+                ox, oy = model.positions_of(ids, t)
+                assert (bits(ox[0]), bits(oy[0])) == (bits(x), bits(y))
+                if i in scalar:
+                    assert scalar[i] == ((x, y), speeds[i])
+
+    @given(
+        n_nodes=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        pause_time=st.sampled_from([0.0, 2.5, 10.0]),
+        times=query_times,
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_advance_all_replays_the_naive_scan_draw_order(
+        self, n_nodes, seed, pause_time, times, data
+    ):
+        """``position(q, t); advance_all(t, n)`` == the naive neighbour scan.
+
+        The naive scan (``WirelessMedium._neighbors_scan``) queries the
+        sender ``q`` and then every attached node ``0..n-1`` in ascending
+        order; ``n < n_nodes`` is a partially attached stack.  Both must
+        leave the shared RNG and every node's motion state identical, and
+        nodes ``>= n`` untouched.
+        """
+        n = data.draw(st.integers(1, n_nodes), label="attached")
+        fast = make_model(n_nodes, seed, pause_time)
+        naive = make_model(n_nodes, seed, pause_time)
+        initial = (list(fast._legs), list(fast._pause))
+        for t in times:
+            q = data.draw(st.integers(0, n - 1), label="sender")
+            fast.position(q, t)
+            fast.advance_all(t, n)
+            naive.position(q, t)
+            for i in range(n):
+                naive.position(i, t)
+            assert fast._rng.getstate() == naive._rng.getstate()
+            assert fast._legs == naive._legs
+            assert fast._pause == naive._pause
+            assert fast._legs[n:] == initial[0][n:]
+            assert fast._pause[n:] == initial[1][n:]
+            # A lone scalar query between sweeps leaves the cached wake
+            # bound stale; the next sweep must still match.
+            extra = data.draw(st.none() | st.integers(0, n - 1), label="extra")
+            if extra is not None:
+                assert fast.position(extra, t) == naive.position(extra, t)

@@ -18,12 +18,12 @@ the complete serialized trace via the shared
 digest the benchmark harness asserts in-run.  The 30-node matrix
 additionally runs every mixed mode (all 2^3 = 8 switch combinations) so
 each switch is validated in isolation *and* against every interaction
-with the other two.  Note the index/batch fast paths resolve their env
-default to the reference behaviour below ``SMALL_N_CUTOFF`` (48) nodes —
-at 30 nodes the mode matrix covers the bucketed run loop, the flattened
-handlers and the default-resolution plumbing, while the 64- and 100-node
-tests are the ones that actually drive the grid index and the macro
-fan-out through the batched pre-classification path.
+with the other two.  Note the spatial index resolves its env default to
+the naive scan below ``SMALL_N_CUTOFF`` (48) nodes — at 30 nodes the mode
+matrix drives the macro fan-out through the batched pre-classification
+path, the bucketed run loop, the flattened handlers and the
+default-resolution plumbing, while the 64- and 100-node tests are the
+ones that actually drive the grid index.
 """
 
 import pytest
@@ -131,8 +131,8 @@ def test_100_node_trace_equivalence(protocol, attack, monkeypatch):
 def test_lossy_medium_equivalence(monkeypatch):
     """Packet loss culls macro-batch entries mid-draw; RNG order must hold.
 
-    64 nodes: above ``SMALL_N_CUTOFF``, so the env-default resolution
-    actually engages the macro fan-out being tested.
+    64 nodes: above ``SMALL_N_CUTOFF``, so the lossy macro fan-out runs
+    over grid-index neighbour lists.
     """
     config = ScenarioConfig(
         protocol="aodv", n_nodes=64, duration=30.0, max_connections=20,

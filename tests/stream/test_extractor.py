@@ -88,6 +88,35 @@ class TestRouteLengthRing:
         window = [i % 7 for i in range(995, 1000)]
         assert ring.average(999.0, 5.0) == pytest.approx(sum(window) / 5.0)
 
+    def test_push_after_full_eviction(self):
+        """Regression: evicting every sample at a compaction emptied the
+        backing lists while samples had been pushed, so the next push's
+        order check read ``_times[-1]`` and raised IndexError."""
+        ring = RouteLengthRing(max_period=5.0)
+        for i in range(300):
+            ring.push(float(i), 2)
+        assert ring.average(299.0, 5.0) == 2.0
+        ring.evict_before(1000.0)
+        assert ring.average(1000.0, 5.0) == 2.0  # empty window: carry
+        state = ring.snapshot()
+        clone = RouteLengthRing(max_period=1.0)
+        clone.restore(state)
+        for r in (ring, clone):
+            r.push(1001.0, 3)
+            r.push(1002.0, 5)
+            assert r.average(1002.0, 5.0) == 4.0
+            assert len(r._times) - r._head == 2  # storage stays compacted
+        assert clone.snapshot() == ring.snapshot()
+
+    def test_rejects_time_regression_after_full_eviction(self):
+        ring = RouteLengthRing(max_period=5.0)
+        for i in range(300):
+            ring.push(float(i), 2)
+        ring.evict_before(1000.0)
+        with pytest.raises(ValueError, match="precedes previous sample 299.0"):
+            ring.push(298.5, 3)
+        ring.push(299.0, 3)  # equal times stay legal
+
 
 class TestStreamingExtractor:
     def test_validates_constructor_args(self):
