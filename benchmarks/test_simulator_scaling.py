@@ -1,10 +1,11 @@
 """Benchmark: kernel and model fast paths across scenario scales.
 
 Runs the :mod:`repro.runtime.bench` suites — neighbor-path and
-end-to-end scenario timings at 30/100(/200) nodes, model fit/score
+end-to-end scenario timings at 30/100(/200/500) nodes, model fit/score
 timings — asserting both correctness (the harness itself fails on any
-result divergence between the optimized and reference paths) and a
-conservative speedup floor at the scales the optimization targets.
+result divergence: naive scan vs grid index, repeated scenario runs,
+optimized vs reference model paths) and conservative speedup floors
+where two shipped or reference paths are compared.
 
 Defaults to the quick (CI-scale) workloads; set ``REPRO_BENCH_FULL=1``
 for the full workloads behind the committed ``BENCH_*.json`` baselines,
@@ -36,28 +37,22 @@ def test_simulator_scaling():
     assert by_name["neighbors/100nodes"]["speedup"] >= 1.5, by_name
 
     # The 500-node rows must exist for both protocols: they cover the
-    # regime the batched kernel and the routing fast path target (the
-    # harness asserted their fingerprints already).
+    # regime the batched kernel and the flattened routing handlers
+    # target (the harness asserted their fingerprints repeat already).
     assert "scenario/aodv/500nodes" in by_name, sorted(by_name)
     assert "scenario/dsr/500nodes" in by_name, sorted(by_name)
 
-    # Full-workload floor at the headline scale (aodv, 200 nodes, 60 s):
-    # the committed baseline shows ~3x with all three switches on (the
-    # harness converges the ratio from above with interleaved best-of
-    # retries); losing any one optimization layer trips this floor.
-    if not QUICK:
-        assert by_name["scenario/aodv/200nodes"]["speedup"] >= 3.0, by_name
-
-    # At every scale the harness has already asserted trace-fingerprint
-    # equality between the two modes; spot-check the records are
-    # well-formed, and require the fast-pathed stack to never lose to
-    # the reference stack end to end — at any node count or protocol.
+    # Spot-check the records are well-formed.  End-to-end rows time the
+    # one shipped stack (absolute speed is tracked by the repository
+    # benchmark's scale-200 workload, not by a ratio here).
     for entry in payload["entries"]:
-        assert entry["baseline_seconds"] > 0
-        assert entry["optimized_seconds"] > 0
         if entry["kind"] == "end_to_end":
-            assert entry["speedup"] >= 1.0, entry
+            assert entry["seconds"] > 0
+            assert entry["trace_events"] > 0
             assert entry["trace_fingerprint"], entry
+        else:
+            assert entry["baseline_seconds"] > 0
+            assert entry["optimized_seconds"] > 0
 
     _maybe_write(payload, "simulator")
 

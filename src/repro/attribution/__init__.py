@@ -18,12 +18,10 @@ layers, each usable alone:
 :func:`fuse_verdicts` lifts lane verdicts to a fleet verdict.
 Attribution runs strictly after scoring and never feeds back into it:
 scores, alarms and fused timing are bit-identical with it on or off.
-``REPRO_ATTRIBUTION=0`` disables the whole subsystem.
+Detectors turn it on or off with their ``attribution=`` keyword.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.attribution.attributor import AlarmAttributor, Verdict, fuse_verdicts
 from repro.attribution.changepoint import (
@@ -67,7 +65,6 @@ __all__ = [
     "ScoreCusum",
     "UNKNOWN",
     "Verdict",
-    "attribution_enabled",
     "classify_activity",
     "classify_shares",
     "contribution_matrix",
@@ -86,27 +83,14 @@ __all__ = [
 ]
 
 
-def attribution_enabled() -> bool:
-    """The ``REPRO_ATTRIBUTION`` kill switch (default: enabled).
-
-    Like ``REPRO_FAST_FIT`` / ``REPRO_EVENT_BATCH``, the environment is
-    consulted at *construction* time, so one process can compare runs by
-    flipping the variable between them.
-    """
-    return os.environ.get("REPRO_ATTRIBUTION", "1") != "0"
-
-
 def resolve_attributor(model, threshold, attribution) -> AlarmAttributor | None:
     """Normalise a detector's ``attribution`` argument.
 
     ``False``/``None`` → off; ``True`` → a default
     :class:`AlarmAttributor` over the detector's model and threshold; an
-    :class:`AlarmAttributor` instance is adopted as-is.  The
-    ``REPRO_ATTRIBUTION=0`` kill switch forces off in every case.
+    :class:`AlarmAttributor` instance is adopted as-is.
     """
     if attribution is None or attribution is False:
-        return None
-    if not attribution_enabled():
         return None
     if attribution is True:
         return AlarmAttributor(model, threshold)

@@ -409,8 +409,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             kwargs["profile"] = True
         payload = runner(**kwargs)
         for entry in payload["entries"]:
-            print(f"  {entry['name']:32s} {entry['baseline_seconds']:8.3f}s -> "
-                  f"{entry['optimized_seconds']:8.3f}s  ({entry['speedup']:.2f}x)")
+            if "seconds" in entry:
+                print(f"  {entry['name']:32s} {entry['seconds']:8.3f}s  "
+                      f"({entry['trace_events']} trace events)")
+            else:
+                print(f"  {entry['name']:32s} {entry['baseline_seconds']:8.3f}s -> "
+                      f"{entry['optimized_seconds']:8.3f}s  ({entry['speedup']:.2f}x)")
             if entry.get("profile_top"):
                 from repro.runtime.profiling import render_profile
 
@@ -551,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", default=".", metavar="DIR",
                          help="directory for the BENCH_*.json files (default: .)")
     p_bench.add_argument("--profile", action="store_true",
-                         help="profile one fast-pathed run per end-to-end "
+                         help="profile one more run per end-to-end "
                               "simulator row and print/record the cProfile "
                               "top-N cumulative table")
     p_bench.set_defaults(func=cmd_bench)

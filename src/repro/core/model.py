@@ -48,11 +48,6 @@ from repro.ml.decision_tree import C45Classifier
 ClassifierFactory = Callable[[], CategoricalClassifier]
 
 
-def _fast_fit_enabled() -> bool:
-    """Shared-pass ensemble training kill switch (``REPRO_FAST_FIT=0``)."""
-    return os.environ.get("REPRO_FAST_FIT", "1") != "0"
-
-
 def _keep_indices(n_features: int, targets: Sequence[int]) -> dict[int, np.ndarray]:
     """Per-target column gathers replacing ``np.delete(codes, i, axis=1)``.
 
@@ -230,12 +225,10 @@ class CrossFeatureModel:
         # are scanned once — the pairwise contingency tensor plus
         # keep-index gathers replace L per-sub-model histogram passes
         # and np.delete copies.  Handed-off statistics are integer
-        # counts, so the fitted sub-models are identical either way;
-        # REPRO_FAST_FIT=0 forces the reference per-sub-model loop.
-        shared = (
-            _fast_fit_enabled()
-            and getattr(self.classifier_factory(), "accepts_root_tables", False)
-        )
+        # counts, so the fitted sub-models are identical either way; a
+        # classifier without ``accepts_root_tables`` (RIPPER) trains on
+        # the per-sub-model loop.
+        shared = getattr(self.classifier_factory(), "accepts_root_tables", False)
         ctx = _SharedFitContext(codes, targets) if shared else None
 
         def fit_one(i: int) -> CategoricalClassifier:

@@ -17,7 +17,6 @@ node's own class distribution (the C4.5 "most likely subtree" fallback).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,8 +201,9 @@ class C45Classifier(CategoricalClassifier):
     def _fit_reference(self, X: np.ndarray, y: np.ndarray) -> "C45Classifier":
         """Reference fit (pre-vectorization growth path).
 
-        Kept callable so the identity tests and the ``fit/`` benchmark
-        suite can grow a guaranteed-reference tree to compare against.
+        The oracle seam: the identity tests and the ``fit/`` benchmark
+        suite grow a guaranteed-reference tree through it to compare
+        against.
         """
         X, y = self._setup_fit(X, y)
         self._z = _z_value(self.cf)
@@ -226,10 +226,8 @@ class C45Classifier(CategoricalClassifier):
         bit-identity is guaranteed whenever both stay below 8 — always
         true for the paper's 5-bucket discretization (6 values with the
         out-of-range bucket).  Larger cardinalities fall back to the
-        reference implementation, and ``REPRO_FAST_FIT=0`` forces it.
+        reference implementation.
         """
-        if os.environ.get("REPRO_FAST_FIT", "1") == "0":
-            return False
         if self.n_classes_ >= 8:
             return False
         return len(self.n_values_) == 0 or int(self.n_values_.max()) < 8

@@ -74,9 +74,8 @@ class AodvProtocol(RoutingProtocol):
         rreq_retries: int = 2,
         net_ttl: int = 16,
         purge_interval: float = 1.0,
-        routing_fast: bool | None = None,
     ):
-        super().__init__(node, routing_fast)
+        super().__init__(node)
         self.hello_interval = hello_interval
         self.allowed_hello_loss = allowed_hello_loss
         self.active_route_timeout = active_route_timeout
@@ -92,32 +91,15 @@ class AodvProtocol(RoutingProtocol):
         self.seq = 0
         self.rreq_id = 0
         self._forged_rreq_id = 1 << 20  # distinct id space for forged adverts
-        #: Reference duplicate-RREQ filter: one dict keyed by the
-        #: ``(origin, rreq_id)`` tuple (the live structure when
-        #: ``routing_fast`` is off).
-        self._seen_rreqs: dict[tuple[int, int], float] = {}
-        #: Fast-path duplicate-RREQ filter: per-origin dicts keyed by the
-        #: (small-int) rreq id, so the hot membership test never allocates
-        #: or hashes a tuple.  Same membership answers, same purge
-        #: decisions — ``_seen_count`` tracks the total so the >512 purge
-        #: trigger matches the reference dict's ``len()``.
+        #: Duplicate-RREQ filter (see RoutingProtocol._seen_mark).
         self._seen_by_origin: dict[int, dict[int, float]] = {}
         self._seen_count = 0
         #: Earliest simulation time the next purge scan could have any
-        #: effect (fast path only; -inf forces the first scan).
+        #: effect (-inf forces the first scan).
         self._purge_deadline = float("-inf")
         self._buffer = PacketBuffer()
         self._pending: dict[int, int] = {}  # dest -> retries used
         self._last_heard: dict[int, float] = {}
-        # Packet-type dispatch table (hot path; other types are ignored).
-        self._dispatch = {
-            PacketType.DATA: self._handle_data,
-            PacketType.RREQ: self._handle_rreq,
-            PacketType.RREP: self._handle_rrep,
-            PacketType.RERR: self._handle_rerr,
-            PacketType.HELLO: self._handle_hello,
-        }
-        self._dispatch_get = self._dispatch.get
         # Flood-volume logging channels: these three sites fire once per
         # delivered broadcast copy, so they bypass the log_packet frame
         # (see NodeStats.packet_channel — listener semantics preserved).
@@ -130,8 +112,7 @@ class AodvProtocol(RoutingProtocol):
         self.sim.schedule(self.sim.rng.uniform(0, hello_interval), self._hello_tick)
         self.sim.schedule(self.sim.rng.uniform(0, purge_interval), self._purge_tick)
 
-        if self.routing_fast:
-            self._install_fast_path()
+        self._install_handlers()
 
     # ------------------------------------------------------------------
     # Route table
@@ -212,26 +193,6 @@ class AodvProtocol(RoutingProtocol):
         if not self.node.unicast(packet, entry.next_hop, self._on_data_link_fail):
             self.log_drop(packet)  # interface-queue overflow
 
-    def _handle_data(self, packet: Packet, from_id: int) -> None:
-        if self.node.should_drop(packet):
-            return  # malicious silent drop — no trace at the attacker
-        if packet.dest == self.node_id:
-            self.node.deliver(packet)
-            return
-        packet.ttl -= 1
-        packet.hops += 1
-        if packet.ttl <= 0:
-            self.log_drop(packet)
-            return
-        entry = self._valid_route(packet.dest)
-        if entry is None:
-            self.log_drop(packet)
-            self._send_rerr([packet.dest])
-            return
-        self.log_packet(PacketType.DATA, Direction.FORWARDED)
-        self._refresh(packet.origin)
-        self._transmit_data(packet, entry)
-
     # ------------------------------------------------------------------
     # Route discovery
     # ------------------------------------------------------------------
@@ -290,18 +251,12 @@ class AodvProtocol(RoutingProtocol):
             else:  # route vanished between checks
                 self.log_drop(packet)
 
-    def _handle_rreq(self, packet: Packet, from_id: int) -> None:
-        # Flood hot path: one C-level append per copy via the channel.
-        self._rreq_recv.append(self.sim.now)
-        info = packet.info
-        origin, rreq_id = packet.origin, info["rreq_id"]
-        # Reverse route toward the originator (possibly forged — the table
-        # cannot tell, which is exactly the black hole's lever).
-        self._update_route(origin, from_id, packet.hops + 1, info["origin_seq"])
-        if self._seen_has(origin, rreq_id):
-            return
-        self._seen_mark(origin, rreq_id, self.sim.now)
+    def _rreq_fresh(self, packet: Packet, from_id: int, origin: int, info: dict) -> None:
+        """First-seen RREQ continuation (the RREQ handler's cold tail).
 
+        The handler has already logged the receive, refreshed the reverse
+        route and marked the request as seen.
+        """
         if origin == self.node_id:
             return  # our own request echoed back (or forged in our name)
 
@@ -333,39 +288,6 @@ class AodvProtocol(RoutingProtocol):
         self._stats_log_packet(self.sim.now, PacketType.RREQ, Direction.FORWARDED)
         self.node.broadcast(relay)
 
-    def _rreq_fresh(self, packet: Packet, from_id: int, origin: int, info: dict) -> None:
-        """First-seen RREQ continuation (the fast handler's cold tail).
-
-        Verbatim the reference :meth:`_handle_rreq` from the own-echo check
-        onward; the fast handler has already logged the receive, refreshed
-        the reverse route and marked the request as seen.
-        """
-        if origin == self.node_id:
-            return  # our own request echoed back (or forged in our name)
-
-        target = info["target"]
-        if target == self.node_id:
-            if info["target_seq"] == self.seq + 1:
-                self.seq += 1
-            self._send_rrep(origin, target, dest_seq=self.seq, dest_hops=0)
-            return
-        entry = self._valid_route(target)
-        if (
-            not info.get("destination_only", False)
-            and entry is not None
-            and entry.seq >= info["target_seq"]
-        ):
-            self.log_route_event(RouteEventKind.FIND)
-            self._send_rrep(origin, target, dest_seq=entry.seq, dest_hops=entry.hops)
-            return
-        if packet.ttl <= 1:
-            return
-        relay = packet.copy()
-        relay.ttl -= 1
-        relay.hops += 1
-        self._stats_log_packet(self.sim.now, PacketType.RREQ, Direction.FORWARDED)
-        self.node.broadcast(relay)
-
     def _send_rrep(self, origin: int, target: int, dest_seq: int, dest_hops: int) -> None:
         reverse = self._valid_route(origin)
         if reverse is None:
@@ -382,6 +304,7 @@ class AodvProtocol(RoutingProtocol):
         self.node.unicast(packet, reverse.next_hop, self._on_control_link_fail)
 
     def _handle_rrep(self, packet: Packet, from_id: int) -> None:
+        """RREP body (the RREP handler adds only the liveness update)."""
         info = packet.info
         info["hop_count"] += 1
         self._update_route(info["target"], from_id, info["hop_count"], info["dest_seq"])
@@ -446,24 +369,6 @@ class AodvProtocol(RoutingProtocol):
         self.log_packet(PacketType.RERR, Direction.SENT)
         self.node.broadcast(packet)
 
-    def _handle_rerr(self, packet: Packet, from_id: int) -> None:
-        self._rerr_recv.append(self.sim.now)
-        # Routes are invalidated when their next hop is the node
-        # *announcing* the error — the packet's origin, i.e. its network-
-        # layer source.  For honest RERRs that is also the link-layer
-        # sender; the distinction is exactly what identity impersonation
-        # forges (§2.3: addresses "are easy to be forged ... if the
-        # underlying communication channel is not encrypted").
-        announcer = packet.origin
-        invalidated = []
-        for dest, seq in packet.info["unreachable"]:
-            entry = self.table.get(dest)
-            if entry is not None and entry.valid and entry.next_hop == announcer:
-                self._invalidate(entry)
-                invalidated.append((dest, entry.seq))
-        if invalidated:
-            self._relay_rerr(packet, invalidated)
-
     def _relay_rerr(self, packet: Packet, invalidated: list[tuple[int, int]]) -> None:
         """Re-originate an RERR whose unreachable list invalidated routes."""
         relay = packet.copy()
@@ -497,27 +402,17 @@ class AodvProtocol(RoutingProtocol):
                     self._send_rerr(broken)
         self.sim.schedule(self.hello_interval, self._hello_tick)
 
-    def _handle_hello(self, packet: Packet, from_id: int) -> None:
-        self._hello_recv.append(self.sim.now)
-        self._update_route(from_id, from_id, 1, packet.info["seq"])
-
     def _purge_tick(self) -> None:
         now = self.sim.now
-        if not self.routing_fast:
-            # Reference scan: walk the whole table every tick.
-            for entry in list(self.table.values()):
-                if entry.valid and entry.expires <= now:
-                    self._invalidate(entry)
-                elif not entry.valid and entry.expires <= now - 3 * self.active_route_timeout:
-                    del self.table[entry.dest]
-        elif now >= self._purge_deadline:
-            # Fast scan with a deadline watermark: a scan can only act on an
-            # entry at its expiry (valid) or expiry + 3*ART (invalid), and
-            # between scans those action times only move later — refreshes
-            # and invalidations raise them, and any entry installed after a
-            # scan at t_s expires no earlier than t_s + ART.  So ticks
-            # before min(action times, t_s + ART) are provably no-ops and
-            # the reference's every-tick walk can be skipped bit-identically.
+        if now >= self._purge_deadline:
+            # Scan with a deadline watermark: a scan can only act on an
+            # entry at its expiry (valid: invalidate) or expiry + 3*ART
+            # (invalid: delete), and between scans those action times only
+            # move later — refreshes and invalidations raise them, and any
+            # entry installed after a scan at t_s expires no earlier than
+            # t_s + ART.  So ticks before min(action times, t_s + ART) are
+            # provably no-ops, and skipping them gives the same trace as
+            # walking the whole table every tick.
             art = self.active_route_timeout
             hold = 3 * art
             deadline = now + art
@@ -543,26 +438,27 @@ class AodvProtocol(RoutingProtocol):
     # Dispatch
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet, from_id: int) -> None:
-        self._last_heard[from_id] = self.sim.now
-        handler = self._dispatch_get(packet.ptype)
+        handler = self.typed_handlers.get(packet.ptype)
         if handler is not None:
             handler(packet, from_id)
+        else:
+            # Unknown type: still record the sender's liveness.
+            self._last_heard[from_id] = self.sim.now
 
-    # ------------------------------------------------------------------
-    # Routing fast path (REPRO_ROUTING_FAST; see DESIGN.md)
-    # ------------------------------------------------------------------
-    def _install_fast_path(self) -> None:
-        """Swap in flattened per-type handlers for the delivery hot path.
+    def _install_handlers(self) -> None:
+        """Build and publish the per-packet-type handlers.
 
-        Each closure binds its hot state (route table, sequence memory,
-        per-origin seen dicts, stats channels, timeouts) once as closure
-        locals, executes the reference handler's exact decision sequence in
-        a single Python frame, and delegates to the cold reference helpers
-        as soon as a packet stops being a cheap case.  The map is published
-        as ``typed_handlers`` so broadcast fan-out binds the type-specific
-        handler per batch instead of re-dispatching per delivery.
-        Bit-identity with the reference handlers is asserted by the trace
-        equivalence matrix and the Hypothesis property suite.
+        Each handler records the sender's liveness first, then runs its
+        packet type's decisions in a single Python frame: hot state (route
+        table, sequence memory, per-origin seen dicts, stats channels,
+        timeouts) is bound once as closure locals, and the handler delegates
+        to the cold helpers (:meth:`_rreq_fresh`, :meth:`_handle_rrep`,
+        :meth:`_relay_rerr`, :meth:`_transmit_data`, ...) as soon as a packet
+        stops being a cheap case.  The map is published as
+        ``typed_handlers`` so broadcast fan-out binds the type-specific
+        handler per batch instead of re-dispatching per delivery.  The
+        tests-only reference protocol (``tests/routing/reference.py``)
+        carries the plain method bodies these handlers must match.
         """
         sim = self.sim
         node = self.node
@@ -586,20 +482,23 @@ class AodvProtocol(RoutingProtocol):
         invalidate = self._invalidate
         transmit = self._transmit_data
         rreq_fresh = self._rreq_fresh
-        handle_rrep = self._handle_rrep
+        rrep_body = self._handle_rrep
         ADD = RouteEventKind.ADD
         DATA = PacketType.DATA
         FORWARDED = Direction.FORWARDED
 
-        def rreq_fast(packet: Packet, from_id: int) -> None:
+        def handle_rreq(packet: Packet, from_id: int) -> None:
             now = sim.now
             last_heard[from_id] = now
             rreq_chan.append(now)
             info = packet.info
             origin = packet.origin
             if origin != node_id:
-                # Inlined _update_route(origin, from_id, packet.hops + 1,
-                # info["origin_seq"]): same decisions, same float values.
+                # Reverse route toward the originator (possibly forged — the
+                # table cannot tell, which is exactly the black hole's
+                # lever).  Inlined _update_route(origin, from_id,
+                # packet.hops + 1, info["origin_seq"]): same decisions, same
+                # float values.
                 seq = info["origin_seq"]
                 entry = table_get(origin)
                 if entry is not None:
@@ -645,7 +544,7 @@ class AodvProtocol(RoutingProtocol):
                 self._seen_count += 1
             rreq_fresh(packet, from_id, origin, info)
 
-        def hello_fast(packet: Packet, from_id: int) -> None:
+        def handle_hello(packet: Packet, from_id: int) -> None:
             now = sim.now
             last_heard[from_id] = now
             hello_chan.append(now)
@@ -674,10 +573,17 @@ class AodvProtocol(RoutingProtocol):
             if not was_valid:
                 log_route_event(ADD)
 
-        def rerr_fast(packet: Packet, from_id: int) -> None:
+        def handle_rerr(packet: Packet, from_id: int) -> None:
             now = sim.now
             last_heard[from_id] = now
             rerr_chan.append(now)
+            # Routes are invalidated when their next hop is the node
+            # *announcing* the error — the packet's origin, i.e. its
+            # network-layer source.  For honest RERRs that is also the
+            # link-layer sender; the distinction is exactly what identity
+            # impersonation forges (§2.3: addresses "are easy to be forged
+            # ... if the underlying communication channel is not
+            # encrypted").
             announcer = packet.origin
             invalidated = None
             for dest, _seq in packet.info["unreachable"]:
@@ -691,7 +597,7 @@ class AodvProtocol(RoutingProtocol):
             if invalidated:
                 self._relay_rerr(packet, invalidated)
 
-        def data_fast(packet: Packet, from_id: int) -> None:
+        def handle_data(packet: Packet, from_id: int) -> None:
             now = sim.now
             last_heard[from_id] = now
             drop_filter = node.drop_filter
@@ -719,29 +625,17 @@ class AodvProtocol(RoutingProtocol):
                     oentry.expires = expires
             transmit(packet, entry)
 
-        def rrep_fast(packet: Packet, from_id: int) -> None:
+        def handle_rrep(packet: Packet, from_id: int) -> None:
             last_heard[from_id] = sim.now
-            handle_rrep(packet, from_id)
+            rrep_body(packet, from_id)
 
-        typed = {
-            PacketType.RREQ: rreq_fast,
-            PacketType.HELLO: hello_fast,
-            PacketType.RERR: rerr_fast,
-            PacketType.DATA: data_fast,
-            PacketType.RREP: rrep_fast,
+        self.typed_handlers = {
+            PacketType.RREQ: handle_rreq,
+            PacketType.HELLO: handle_hello,
+            PacketType.RERR: handle_rerr,
+            PacketType.DATA: handle_data,
+            PacketType.RREP: handle_rrep,
         }
-        typed_get = typed.get
-
-        def handle_packet_fast(packet: Packet, from_id: int) -> None:
-            handler = typed_get(packet.ptype)
-            if handler is not None:
-                handler(packet, from_id)
-            else:
-                # Unknown type: the reference still records liveness.
-                last_heard[from_id] = sim.now
-
-        self.typed_handlers = typed
-        self.handle_packet = handle_packet_fast
         node.refresh_dispatch()
 
     # ------------------------------------------------------------------

@@ -10,18 +10,12 @@ packets while a route discovery for their destination is in flight.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 
 from repro.simulation.node import Node
 from repro.simulation.packet import Direction, Packet, PacketType
 from repro.simulation.stats import RouteEventKind
-
-
-def _default_routing_fast() -> bool:
-    """Routing fast-path default: on, unless ``REPRO_ROUTING_FAST=0``."""
-    return os.environ.get("REPRO_ROUTING_FAST", "1") not in ("0", "false", "no")
 
 
 class PacketBuffer:
@@ -67,29 +61,24 @@ class RoutingProtocol(ABC):
     the medium).  :meth:`handle_overhear` is optional and only meaningful
     for protocols that learn from promiscuous traffic (DSR).
 
-    ``routing_fast`` selects the flattened hot-handler fast path (see
-    DESIGN.md §Routing fast path).  ``None`` (default) reads
-    ``$REPRO_ROUTING_FAST``; an explicit ``True``/``False`` forces the
-    choice.  Either way the protocol produces bit-identical traces — the
-    fast path only changes *how* hot handlers execute, never their
-    decisions.  Protocols that install one publish ``typed_handlers``
-    (packet type -> flattened handler) for the medium's per-type fan-out
-    dispatch rows.
+    Each protocol publishes one handler per packet type as
+    ``typed_handlers`` at the end of its ``__init__`` (then calls
+    ``node.refresh_dispatch()``); ``handle_packet`` dispatches through
+    that same map, and the medium's broadcast fan-out binds the
+    type-specific handler once per batch (see DESIGN.md §Routing
+    handlers).
     """
 
     name: str = "base"
 
-    #: Packet-type -> flattened handler map for the medium's typed fan-out
-    #: dispatch (populated by protocols that install a fast path).
+    #: Packet-type -> handler map for the medium's typed fan-out dispatch
+    #: (published by each protocol's ``__init__``).
     typed_handlers: dict | None = None
 
-    def __init__(self, node: Node, routing_fast: bool | None = None):
+    def __init__(self, node: Node):
         self.node = node
         self.sim = node.sim
         self.stats = node.stats
-        self.routing_fast: bool = (
-            _default_routing_fast() if routing_fast is None else bool(routing_fast)
-        )
         # Plain attributes / pre-bound methods: these sit on every
         # per-packet path, so skip the property and double lookups.
         self.node_id = node.node_id
@@ -112,74 +101,54 @@ class RoutingProtocol(ABC):
         """Process a promiscuously overheard packet (default: ignore)."""
 
     # ------------------------------------------------------------------
-    # Duplicate-flood filter (mode-neutral interface over two stores)
+    # Duplicate-flood filter
     # ------------------------------------------------------------------
     # AODV and DSR both discard repeat copies of a flood via a seen set
-    # keyed by (origin, flood id).  The reference store is one dict keyed
-    # by the tuple; the fast-path store is a dict of per-origin dicts
+    # keyed by (origin, flood id), stored as a dict of per-origin dicts
     # keyed by the (small-int) flood id, so the hot membership test never
-    # allocates or hashes a tuple.  Same membership answers, same purge
-    # decisions — ``_seen_count`` tracks the total so the >512 purge
-    # trigger matches the reference dict's ``len()``.  Protocols using
-    # this interface initialise ``_seen_rreqs``, ``_seen_by_origin`` and
-    # ``_seen_count`` in ``__init__``.
+    # allocates or hashes a tuple.  ``_seen_count`` tracks the total number
+    # of pairs for the >512 purge trigger.  Protocols using this interface
+    # initialise ``_seen_by_origin`` and ``_seen_count`` in ``__init__``;
+    # their RREQ handlers inline the mark/test pair.
 
-    _seen_rreqs: dict  # (origin, flood id) -> first-seen time (reference)
-    _seen_by_origin: dict  # origin -> {flood id: first-seen time} (fast)
+    _seen_by_origin: dict  # origin -> {flood id: first-seen time}
     _seen_count: int
 
     def _seen_mark(self, origin: int, rreq_id: int, now: float) -> None:
-        """Record one (origin, rreq_id) as seen in the active structure."""
-        if self.routing_fast:
-            d = self._seen_by_origin.get(origin)
-            if d is None:
-                self._seen_by_origin[origin] = {rreq_id: now}
-                self._seen_count += 1
-            elif rreq_id not in d:
-                d[rreq_id] = now
-                self._seen_count += 1
-            else:
-                d[rreq_id] = now
+        """Record one (origin, rreq_id) as seen."""
+        d = self._seen_by_origin.get(origin)
+        if d is None:
+            self._seen_by_origin[origin] = {rreq_id: now}
+            self._seen_count += 1
+        elif rreq_id not in d:
+            d[rreq_id] = now
+            self._seen_count += 1
         else:
-            self._seen_rreqs[(origin, rreq_id)] = now
+            d[rreq_id] = now
 
     def _seen_has(self, origin: int, rreq_id: int) -> bool:
-        """Membership test against the active structure."""
-        if self.routing_fast:
-            d = self._seen_by_origin.get(origin)
-            return d is not None and rreq_id in d
-        return (origin, rreq_id) in self._seen_rreqs
+        """Whether (origin, rreq_id) has been seen."""
+        d = self._seen_by_origin.get(origin)
+        return d is not None and rreq_id in d
 
     def _seen_size(self) -> int:
         """Number of remembered (origin, rreq_id) pairs."""
-        if self.routing_fast:
-            return self._seen_count
-        return len(self._seen_rreqs)
+        return self._seen_count
 
     def _seen_prune(self, now: float) -> None:
-        """The reference >512-entry purge, on whichever store is active.
-
-        Identical forgetting decisions either way: trigger when the total
-        exceeds 512, drop exactly the entries older than 30 s.
-        """
-        if self.routing_fast:
-            if self._seen_count > 512:
-                horizon = now - 30.0
-                seen = self._seen_by_origin
-                total = 0
-                for origin, d in list(seen.items()):
-                    kept = {k: t for k, t in d.items() if t >= horizon}
-                    if kept:
-                        seen[origin] = kept
-                        total += len(kept)
-                    else:
-                        del seen[origin]
-                self._seen_count = total
-        elif len(self._seen_rreqs) > 512:
+        """Once more than 512 pairs are remembered, forget those older than 30 s."""
+        if self._seen_count > 512:
             horizon = now - 30.0
-            self._seen_rreqs = {
-                k: t for k, t in self._seen_rreqs.items() if t >= horizon
-            }
+            seen = self._seen_by_origin
+            total = 0
+            for origin, d in list(seen.items()):
+                kept = {k: t for k, t in d.items() if t >= horizon}
+                if kept:
+                    seen[origin] = kept
+                    total += len(kept)
+                else:
+                    del seen[origin]
+            self._seen_count = total
 
     # ------------------------------------------------------------------
     # Trace-logging helpers

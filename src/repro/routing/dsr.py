@@ -22,6 +22,7 @@ paper's forged two-hop routes poison it so effectively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.routing.base import PacketBuffer, RoutingProtocol
@@ -96,14 +97,23 @@ class RouteCache:
             self._paths[dest] = keep
         return removed
 
-    def purge(self, now: float) -> int:
-        """Drop expired paths; return how many were removed."""
+    def purge(self, now: float) -> tuple[int, float]:
+        """Drop expired paths.
+
+        Returns how many were removed and the earliest expiry among the
+        paths that survive (``inf`` when none do).
+        """
         removed = 0
-        for dest, entries in self._paths.items():
+        earliest = math.inf
+        paths = self._paths
+        for dest, entries in paths.items():
             keep = [c for c in entries if c.expires > now]
             removed += len(entries) - len(keep)
-            self._paths[dest] = keep
-        return removed
+            paths[dest] = keep
+            for cached in keep:
+                if cached.expires < earliest:
+                    earliest = cached.expires
+        return removed, earliest
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._paths.values())
@@ -124,9 +134,8 @@ class DsrProtocol(RoutingProtocol):
         max_salvage: int = 1,
         gratuitous_replies: bool = True,
         purge_interval: float = 1.0,
-        routing_fast: bool | None = None,
     ):
-        super().__init__(node, routing_fast)
+        super().__init__(node)
         node.promiscuous = True  # DSR taps the channel to learn routes
         self.rreq_timeout = rreq_timeout
         self.rreq_retries = rreq_retries
@@ -138,22 +147,14 @@ class DsrProtocol(RoutingProtocol):
         self.cache = RouteCache(owner=node.node_id, path_ttl=cache_ttl)
         self.rreq_id = 0
         self._forged_rreq_id = 1 << 20
-        # Duplicate-RREQ filter stores (see RoutingProtocol._seen_mark).
-        self._seen_rreqs: dict[tuple[int, int], float] = {}
+        # Duplicate-RREQ filter (see RoutingProtocol._seen_mark).
         self._seen_by_origin: dict[int, dict[int, float]] = {}
         self._seen_count = 0
         #: Earliest simulation time the next cache purge could remove a
-        #: path (fast path only; -inf forces the first scan).
+        #: path (-inf forces the first scan).
         self._purge_deadline = float("-inf")
         self._buffer = PacketBuffer()
         self._pending: dict[int, int] = {}
-        # Packet-type dispatch table (hot path; other types are ignored).
-        self._dispatch = {
-            PacketType.DATA: self._handle_data,
-            PacketType.RREQ: self._handle_rreq,
-            PacketType.RREP: self._handle_rrep,
-            PacketType.RERR: self._handle_rerr,
-        }
         # Flood hot path: RREQ copies arrive once per neighbor per flood,
         # so that one site logs through a channel (C-level append).
         self._rreq_recv = node.stats.packet_channel(
@@ -161,8 +162,7 @@ class DsrProtocol(RoutingProtocol):
         )
         self.sim.schedule(self.sim.rng.uniform(0, purge_interval), self._purge_tick)
 
-        if self.routing_fast:
-            self._install_fast_path()
+        self._install_handlers()
 
     # ------------------------------------------------------------------
     # Cache bookkeeping with Feature Set I logging
@@ -214,26 +214,6 @@ class DsrProtocol(RoutingProtocol):
         if not self.node.unicast(packet, next_hop, on_fail):
             self.log_drop(packet)  # interface-queue overflow
 
-    def _handle_data(self, packet: Packet, from_id: int) -> None:
-        if self.node.should_drop(packet):
-            return  # malicious silent drop
-        if packet.dest == self.node_id:
-            self.node.deliver(packet)
-            return
-        packet.ttl -= 1
-        packet.hops += 1
-        if packet.ttl <= 0:
-            self.log_drop(packet)
-            return
-        relay = packet.copy()
-        relay.info["sr_index"] += 1
-        sr = relay.info["sr"]
-        if relay.info["sr_index"] + 1 >= len(sr):
-            self.log_drop(packet)  # malformed source route
-            return
-        self.log_packet(PacketType.DATA, Direction.FORWARDED)
-        self._relay_source_routed(relay)
-
     # ------------------------------------------------------------------
     # Route discovery
     # ------------------------------------------------------------------
@@ -275,51 +255,14 @@ class DsrProtocol(RoutingProtocol):
             else:
                 self.log_drop(packet)
 
-    def _handle_rreq(self, packet: Packet, from_id: int) -> None:
-        self._rreq_recv.append(self.sim.now)
-        info = packet.info
-        origin, rreq_id, target = packet.origin, info["rreq_id"], info["target"]
-        accumulated = info["route"]
-        # The accumulated record, reversed, is a path back to the originator.
-        # This is the mechanism the DSR black-hole script exploits with a
-        # forged one-hop record: the reversed bogus path (2 hops, through
-        # the attacker) out-competes longer legitimate paths in the cache.
-        self._learn_path(origin, tuple(reversed(accumulated)), RouteEventKind.ADD)
-        if self._seen_has(origin, rreq_id):
-            return
-        self._seen_mark(origin, rreq_id, self.sim.now)
-        if self.node_id in accumulated:
-            return  # already on the record: a loop
-
-        if target == self.node_id:
-            full_path = [*accumulated, self.node_id]
-            self._send_rrep(origin, target, full_path)
-            return
-        if self.gratuitous_replies:
-            cached = self.cache.get(target, self.sim.now)
-            if cached is not None and not (set(cached) & set(accumulated)) and self.node_id not in cached:
-                self.log_route_event(RouteEventKind.FIND)
-                full_path = [*accumulated, self.node_id, *cached]
-                self._send_rrep(origin, target, full_path)
-                return
-        if packet.ttl <= 1:
-            return
-        relay = packet.copy()
-        relay.ttl -= 1
-        relay.hops += 1
-        relay.info["route"] = [*accumulated, self.node_id]
-        self.log_packet(PacketType.RREQ, Direction.FORWARDED)
-        self.node.broadcast(relay)
-
     def _rreq_fresh(
         self, packet: Packet, origin: int, info: dict, accumulated: list[int]
     ) -> None:
-        """Reference tail of :meth:`_handle_rreq` for a first-copy RREQ.
+        """First-copy RREQ continuation (the RREQ handler's cold tail).
 
         Everything past the duplicate/loop discards: answer as the target,
         answer gratuitously from the cache, or rebroadcast with this node
-        appended to the route record.  Shared verbatim by the reference
-        handler's flow and the fast path (which inlines only the discards).
+        appended to the route record.
         """
         target = info["target"]
         if target == self.node_id:
@@ -492,28 +435,14 @@ class DsrProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     def _purge_tick(self) -> None:
         now = self.sim.now
-        if not self.routing_fast:
-            # Reference scan: walk the whole cache every tick.
-            removed = self.cache.purge(now)
-            for _ in range(removed):
-                self.log_route_event(RouteEventKind.REMOVAL)
-        elif now >= self._purge_deadline:
+        if now >= self._purge_deadline:
             # A purge only removes paths with expires <= now, and between
             # scans a path's expiry only moves up (cache.add refreshes;
             # new paths expire a full TTL out; remove_link only deletes).
             # So the minimum expiry seen at a scan bounds the next tick
             # that could do anything, and earlier ticks skip bit-identically.
-            deadline = now + self.cache.path_ttl
-            removed = 0
-            paths = self.cache._paths
-            for dest, entries in paths.items():
-                keep = [c for c in entries if c.expires > now]
-                removed += len(entries) - len(keep)
-                paths[dest] = keep
-                for cached in keep:
-                    if cached.expires < deadline:
-                        deadline = cached.expires
-            self._purge_deadline = deadline
+            removed, earliest = self.cache.purge(now)
+            self._purge_deadline = min(earliest, now + self.cache.path_ttl)
             for _ in range(removed):
                 self.log_route_event(RouteEventKind.REMOVAL)
         self._seen_prune(now)
@@ -523,24 +452,19 @@ class DsrProtocol(RoutingProtocol):
     # Dispatch
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet, from_id: int) -> None:
-        handler = self._dispatch.get(packet.ptype)
+        handler = self.typed_handlers.get(packet.ptype)
         if handler is not None:
             handler(packet, from_id)
 
-    # ------------------------------------------------------------------
-    # Routing fast path (REPRO_ROUTING_FAST; see DESIGN.md)
-    # ------------------------------------------------------------------
-    def _install_fast_path(self) -> None:
-        """Swap in flattened per-type handlers for the delivery hot path.
+    def _install_handlers(self) -> None:
+        """Build and publish the per-packet-type handlers.
 
-        Mirrors :meth:`AodvProtocol._install_fast_path`: the RREQ and DATA
+        Mirrors :meth:`AodvProtocol._install_handlers`: the RREQ and DATA
         handlers — the two types that arrive once per neighbor per flood /
         per hop — run their cheap-discard decisions in one Python frame
         with hot state bound as closure locals, delegating to the cold
-        reference helpers (:meth:`_rreq_fresh`, link-failure maintenance)
-        the moment a packet stops being cheap.  RREP/RERR stay on the
-        reference handlers.  Bit-identity is asserted by the trace
-        equivalence matrix and the Hypothesis property suite.
+        helpers (:meth:`_rreq_fresh`, link-failure maintenance) the moment
+        a packet stops being cheap.  RREP and RERR are plain methods.
         """
         sim = self.sim
         node = self.node
@@ -563,12 +487,17 @@ class DsrProtocol(RoutingProtocol):
         DATA = PacketType.DATA
         FORWARDED = Direction.FORWARDED
 
-        def rreq_fast(packet: Packet, from_id: int) -> None:
+        def handle_rreq(packet: Packet, from_id: int) -> None:
             now = sim.now
             rreq_chan.append(now)
             info = packet.info
             origin = packet.origin
             accumulated = info["route"]
+            # The accumulated record, reversed, is a path back to the
+            # originator.  This is the mechanism the DSR black-hole script
+            # exploits with a forged one-hop record: the reversed bogus path
+            # (2 hops, through the attacker) out-competes longer legitimate
+            # paths in the cache.
             # Inlined _learn_path(origin, reversed record, ADD) — including
             # the cache.add dedup/refresh/evict scan, so duplicate flood
             # copies (which still refresh the cached back-path) stay in
@@ -605,7 +534,7 @@ class DsrProtocol(RoutingProtocol):
                 return  # already on the record: a loop
             rreq_fresh(packet, origin, info, accumulated)
 
-        def data_fast(packet: Packet, from_id: int) -> None:
+        def handle_data(packet: Packet, from_id: int) -> None:
             drop_filter = node.drop_filter
             if drop_filter is not None and drop_filter(packet):
                 return  # malicious silent drop — no trace at the attacker
@@ -631,21 +560,12 @@ class DsrProtocol(RoutingProtocol):
                 log_drop(relay)  # interface-queue overflow
             return
 
-        typed = {
-            PacketType.DATA: data_fast,
-            PacketType.RREQ: rreq_fast,
+        self.typed_handlers = {
+            PacketType.DATA: handle_data,
+            PacketType.RREQ: handle_rreq,
             PacketType.RREP: self._handle_rrep,
             PacketType.RERR: self._handle_rerr,
         }
-        typed_get = typed.get
-
-        def handle_packet_fast(packet: Packet, from_id: int) -> None:
-            handler = typed_get(packet.ptype)
-            if handler is not None:
-                handler(packet, from_id)
-
-        self.typed_handlers = typed
-        self.handle_packet = handle_packet_fast
         node.refresh_dispatch()
 
     # ------------------------------------------------------------------

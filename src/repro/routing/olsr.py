@@ -53,9 +53,8 @@ class OlsrProtocol(RoutingProtocol):
         neighbor_hold: float = 6.0,
         topology_hold: float = 16.0,
         route_interval: float = 1.0,
-        routing_fast: bool | None = None,
     ):
-        super().__init__(node, routing_fast)
+        super().__init__(node)
         self.hello_interval = hello_interval
         self.tc_interval = tc_interval
         self.neighbor_hold = neighbor_hold
@@ -77,20 +76,15 @@ class OlsrProtocol(RoutingProtocol):
         self.tc_seq = 0
         self._forged_tc_seq = 1 << 20
         self._seen_tc: dict[tuple[int, int], float] = {}
-        # Packet-type dispatch table (hot path).  OLSR has no
-        # RREQ/RREP/RERR; foreign packet types are ignored.
-        self._dispatch = {
+        # Packet-type dispatch table.  OLSR has no RREQ/RREP/RERR; foreign
+        # packet types are ignored.  handle_packet is pure dispatch, so
+        # broadcast fan-out binds these methods directly.
+        self.typed_handlers = {
             PacketType.DATA: self._handle_data,
             PacketType.HELLO: self._handle_hello,
             PacketType.TC: self._handle_tc,
         }
-        if self.routing_fast:
-            # OLSR's handle_packet is pure dispatch (no per-packet side
-            # effects before the handler), so the typed fan-out rows can
-            # bind the reference handlers directly — the win is skipping
-            # the handle_packet frame + dict lookup per delivery.
-            self.typed_handlers = dict(self._dispatch)
-            node.refresh_dispatch()
+        node.refresh_dispatch()
 
         rng = self.sim.rng
         self.sim.schedule(rng.uniform(0, hello_interval), self._hello_tick)
@@ -296,7 +290,7 @@ class OlsrProtocol(RoutingProtocol):
     # Dispatch
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet, from_id: int) -> None:
-        handler = self._dispatch.get(packet.ptype)
+        handler = self.typed_handlers.get(packet.ptype)
         if handler is not None:
             handler(packet, from_id)
 

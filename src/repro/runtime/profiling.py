@@ -1,11 +1,11 @@
 """Profiling observability: cProfile capture + compact top-N tables.
 
-Two consumers (see DESIGN.md §Routing fast path — every shortfall
+Two consumers (see DESIGN.md §Routing handlers — every shortfall
 analysis in this repo's performance PRs started from exactly this
 table):
 
 * ``python -m repro bench --profile`` — the simulator bench suite
-  profiles one optimized-mode run per end-to-end row and attaches the
+  profiles one more run per end-to-end row and attaches the
   top-N cumulative table to the row's JSON entry (and the CLI prints
   it), so "where did the time go at aodv/200" is one flag away instead
   of an ad-hoc script;

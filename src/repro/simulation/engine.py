@@ -1,24 +1,20 @@
 """Discrete-event simulation kernel.
 
 A minimal, deterministic event scheduler: events are (time, sequence) ordered
-callbacks kept in a binary heap.  Ties on time break by insertion order so a
-run is fully reproducible for a fixed seed.  Cancellation is lazy — cancelled
-events stay in the queue and are skipped when popped — which keeps both
-``schedule`` and ``cancel`` O(log n) / O(1).
+callbacks.  Ties on time break by insertion order so a run is fully
+reproducible for a fixed seed.  Cancellation is lazy — cancelled events stay
+in the queue and are skipped when popped — which keeps both ``schedule`` and
+``cancel`` O(log n) / O(1).
 
-Two execution modes share that contract (see DESIGN.md §Event kernel):
-
-* **reference** (``event_batch=False`` / ``REPRO_EVENT_BATCH=0``) — the
-  pre-optimization loop: peek the heap top, pop, dispatch, one event at a
-  time.  Kept verbatim as the behavioural baseline the bucketed mode is
-  tested against.
-* **bucketed** (the default) — a calendar-queue-style near-future lane.
-  The run loop drains every heap entry within ``lane_quantum`` of the next
-  event time into a sorted bucket (heap pops already yield sorted order)
-  and dispatches the bucket sequentially by plain list indexing.  Events
-  scheduled *into* the open bucket window are placed by binary insertion
-  into the unconsumed tail, so the executed order is exactly the total
-  ``(time, seq)`` order of the heap — only the data structure differs.
+The run loop keeps a calendar-queue-style near-future lane on top of the
+binary heap (see DESIGN.md §Event kernel).  It drains every heap entry within
+``lane_quantum`` of the next event time into a sorted bucket (heap pops
+already yield sorted order) and dispatches the bucket sequentially by plain
+list indexing.  Events scheduled *into* the open bucket window are placed by
+binary insertion into the unconsumed tail, so the executed order is exactly
+the total ``(time, seq)`` order of a plain heap — only the data structure
+differs.  A plain pure-heap loop is the test oracle for that order
+(``tests/simulation/test_engine_properties.py``).
 
 The kernel also exposes a transient-event fast path
 (:meth:`Simulator.schedule_transient_at`) for callers that never keep the
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 import random
 from bisect import insort
 from typing import Any, Callable
@@ -45,11 +40,6 @@ DEFAULT_LANE_QUANTUM = 0.004
 
 #: Upper bound on pooled transient events / recycled handles.
 _EVENT_POOL_CAP = 512
-
-
-def _default_event_batch() -> bool:
-    """Batched kernel default: on, unless ``REPRO_EVENT_BATCH=0``."""
-    return os.environ.get("REPRO_EVENT_BATCH", "1") not in ("0", "false", "no")
 
 
 class Event:
@@ -103,7 +93,8 @@ class MacroEvent(Event):
     per-receiver events would have.  ``handler(*shared_args)`` is called for
     each entry; the run loop dispatches consecutive entries inline while the
     next entry still precedes every other queued event, and otherwise parks
-    the batch back in the queue at the next entry's reserved key.
+    the batch back in the queue at the next entry's reserved key.  It has no
+    callback of its own: only the run loop executes it.
     """
 
     __slots__ = ("entries", "cursor", "shared_args")
@@ -111,8 +102,7 @@ class MacroEvent(Event):
     _macro = True
 
     def __init__(self, sim: "Simulator"):
-        super().__init__(0.0, 0, sim._run_macro, (), sim)
-        self.args = (self,)
+        super().__init__(0.0, 0, None, (), sim)
         self.entries: list[tuple[float, int, Callable[..., Any]]] = []
         self.cursor = 0
         self.shared_args: tuple = ()
@@ -127,21 +117,14 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`.  All stochastic
         components (mobility, medium jitter, traffic, attacks) draw from this
         generator so a scenario is reproducible from its seed alone.
-    event_batch:
-        Use the bucketed near-future event lane.  ``None`` (default) reads
-        ``$REPRO_EVENT_BATCH``; ``False`` forces the pure-heap reference
-        loop.  Execution order is identical either way.
     lane_quantum:
-        Width of the bucket window in seconds (bucketed mode only).
+        Width of the near-future bucket window in seconds.  Execution order
+        does not depend on it.
     """
 
-    def __init__(self, seed: int = 0, event_batch: bool | None = None,
-                 lane_quantum: float = DEFAULT_LANE_QUANTUM):
+    def __init__(self, seed: int = 0, lane_quantum: float = DEFAULT_LANE_QUANTUM):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self.event_batch: bool = (
-            _default_event_batch() if event_batch is None else bool(event_batch)
-        )
         self.lane_quantum = lane_quantum
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
@@ -165,7 +148,6 @@ class Simulator:
         # loop's two-way min (bucket head vs this heap's top) preserves
         # the exact total (time, seq) order.  Empty outside run().
         self._macro_heap: list[tuple[float, int, Event]] = []
-        self._until: float | None = None
         self._event_pool: list[Event] = []
         self._macro_pool: list[MacroEvent] = []
 
@@ -263,75 +245,26 @@ class Simulator:
             return macro
         return MacroEvent(self)
 
-    def _run_macro(self, macro: MacroEvent) -> None:
-        """Dispatch a macro-event (fallback used by the reference loop).
-
-        The bucketed loop inlines this logic; this method keeps macro-events
-        executable under any loop.  The engine has already advanced ``now``
-        and ``_processed`` for the entry at ``cursor``.
-        """
-        entries = macro.entries
-        args = macro.shared_args
-        i = macro.cursor
-        n = len(entries)
-        until = self._until
-        while True:
-            entries[i][2](*args)
-            i += 1
-            if i == n:
-                break
-            me = entries[i]
-            if self._running and (until is None or me[0] <= until):
-                nxt = self._next_key()
-                if nxt is None or me < nxt:
-                    self.now = me[0]
-                    self._processed += 1
-                    continue
-            macro.cursor = i
-            self._requeue(me[0], me[1], macro)
-            return
-        entries.clear()
-        macro.shared_args = _NO_ARGS
-        if len(self._macro_pool) < _EVENT_POOL_CAP:
-            self._macro_pool.append(macro)
-
-    def _next_key(self) -> tuple[float, int, Event] | None:
-        """The queue entry that would execute next.
-
-        Minimum of the bucket head and the parked-macro heap (both within
-        the open window, so both precede everything on the main heap),
-        falling back to the main heap top.
-        """
-        pos = self._bucket_pos
-        bucket = self._bucket
-        nxt = bucket[pos] if pos < len(bucket) else None
-        mheap = self._macro_heap
-        if mheap and (nxt is None or mheap[0] < nxt):
-            nxt = mheap[0]
-        if nxt is not None:
-            return nxt
-        heap = self._heap
-        if heap:
-            return heap[0]
-        return None
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> None:
-        """Process events in time order.
+        """Process events in ``(time, seq)`` order.
 
         Runs until the queue is empty, or until simulation time would exceed
         ``until``.  When stopped by ``until``, ``now`` is advanced to exactly
         ``until`` so periodic processes restarted afterwards stay aligned.
         """
+        # The kernel recycles its events and packets from pools and frees
+        # everything else by refcount, so cyclic-GC generation scans are
+        # pure overhead at millions of dispatches — pause the collector for
+        # the duration of the run.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         self._running = True
-        self._until = until
         try:
-            if self.event_batch:
-                self._run_bucketed(until)
-            else:
-                self._run_reference(until)
+            self._run_loop(until)
         finally:
             # Return any unconsumed bucket tail and parked macros to the
             # heap so state is consistent after stop()/until/exceptions,
@@ -350,56 +283,20 @@ class Simulator:
             del bucket[:]
             self._bucket_pos = 0
             self._bucket_horizon = float("-inf")
-            self._until = None
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
         if until is not None and until > self.now:
             self.now = until
 
-    def _run_reference(self, until: float | None) -> None:
-        """Pre-optimization loop: peek top, pop, dispatch one event at a time."""
-        heap = self._heap
-        pool = self._event_pool
-        while self._running and heap:
-            event = heap[0][2]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(heap)
-            event._queued = False
-            self._pending -= 1
-            self.now = event.time
-            self._processed += 1
-            event.callback(*event.args)
-            if event._transient and not event._queued:
-                event.callback = None
-                event.args = _NO_ARGS
-                if len(pool) < _EVENT_POOL_CAP:
-                    pool.append(event)
-
-    def _run_bucketed(self, until: float | None) -> None:
-        """Bucketed near-future lane; identical ``(time, seq)`` order.
+    def _run_loop(self, until: float | None) -> None:
+        """Bucketed near-future lane over the heap.
 
         Repeatedly drains every heap entry within ``lane_quantum`` of the
         next event into a sorted list (heap pops come out sorted) and walks
         it by index.  Events scheduled into the open window during dispatch
         are insorted into the unconsumed tail, so total order is preserved.
         """
-        # The bucketed kernel recycles its events and packets from pools
-        # and frees everything else by refcount, so cyclic-GC generation
-        # scans are pure overhead at millions of dispatches — pause the
-        # collector for the duration of the run.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._run_bucketed_loop(until)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run_bucketed_loop(self, until: float | None) -> None:
         heap = self._heap
         bucket = self._bucket
         mheap = self._macro_heap
@@ -594,8 +491,8 @@ class Simulator:
         """Number of not-yet-cancelled queue entries still pending.
 
         Maintained as a live counter (O(1)): incremented on schedule,
-        decremented on cancel and on dispatch.  In bucketed mode a
-        macro-event (one delivery batch) counts as one entry.
+        decremented on cancel and on dispatch.  A macro-event (one delivery
+        batch) counts as one entry.
         """
         return self._pending
 

@@ -19,16 +19,14 @@ statistics:
   party to can tap it, which DSR's route-cache eavesdropping (the paper's
   *route notice count* feature) relies on.
 
-Connectivity queries normally go through a
+Connectivity queries go through a
 :class:`~repro.simulation.spatial.SpatialNeighborIndex` (grid-pruned
-candidates + exact unit-disc post-filter); the naive O(N) scan is kept both
-as the automatic fallback for partially-attached node sets and as the
-reference implementation the trace-equivalence suite compares against
-(``use_index=False`` / ``REPRO_SPATIAL_INDEX=0``).  Below
-``small_n_cutoff`` nodes the env-default resolution also falls back to the
-scan: per-query numpy overhead exceeds a 30-iteration Python loop, which is
-what made small scenarios *slower* with the index.  Either path produces
-bit-identical traces — see DESIGN.md §Performance for the invariants.
+candidates + exact unit-disc post-filter) from ``SMALL_N_CUTOFF`` nodes up.
+Below the cutoff, and for partially-attached node sets, the medium scans
+all nodes instead: per-query numpy overhead exceeds a 30-iteration Python
+loop, which is what made small scenarios *slower* with the index.  Either
+path produces bit-identical traces — see DESIGN.md §Performance for the
+invariants.
 
 Promiscuous taps on a unicast skip the bystander sweep whenever no node
 listens (every AODV and OLSR scenario), on either side of the cutoff: the
@@ -37,25 +35,20 @@ mobility, which consumes shared-RNG waypoint draws — is replayed by
 ``position(sender)`` plus one ascending ``advance_all``, so traces stay
 bit-identical.
 
-Delivery fan-out likewise has two modes (see DESIGN.md §Event kernel).  The
-reference mode schedules one kernel event per receiver per broadcast.  The
-batched mode (``event_batch`` / ``REPRO_EVENT_BATCH``, the default at every
-node count) folds a broadcast's whole fan-out into one kernel
-:class:`~repro.simulation.engine.MacroEvent`:
-all loss and jitter draws happen in a single pass (same RNG order as the
-per-receiver loop), one engine seq is reserved per surviving receiver (the
-exact seqs the reference would have allocated), arrivals are sorted, and
-each entry carries the receiver's pre-bound protocol handler so the kernel
+Broadcast delivery folds a transmission's whole fan-out into one kernel
+:class:`~repro.simulation.engine.MacroEvent` (see DESIGN.md §Event kernel):
+all loss and jitter draws happen in a single pass in ascending receiver
+order, one engine seq is reserved per surviving receiver (the seqs one
+event per receiver would have allocated), arrivals are sorted, and each
+entry carries the receiver's pre-bound protocol handler so the kernel
 dispatches deliveries inline for as long as the batch's next entry is
 globally next in ``(time, seq)`` order — parking the batch back in the
-queue whenever any other event interleaves.  Traces are bit-identical by
-construction.
+queue whenever any other event interleaves.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -72,14 +65,9 @@ FailureCallback = Callable[[Packet, int], None]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
-#: Below this node count the env-default spatial index resolution falls
-#: back to the naive scan (grid bookkeeping costs more than it saves).
+#: Below this node count the medium scans all nodes instead of building
+#: the spatial index (grid bookkeeping costs more than it saves).
 SMALL_N_CUTOFF = 48
-
-
-def _default_use_index() -> bool:
-    """Spatial index default: on, unless ``REPRO_SPATIAL_INDEX=0``."""
-    return os.environ.get("REPRO_SPATIAL_INDEX", "1") not in ("0", "false", "no")
 
 
 class WirelessMedium:
@@ -105,19 +93,12 @@ class WirelessMedium:
         Time after which a failed unicast is reported to the sender.
     use_index:
         Route neighbor queries through the spatial grid index.  ``None``
-        (default) reads ``$REPRO_SPATIAL_INDEX`` and additionally bypasses
-        the index below ``small_n_cutoff`` nodes; an explicit ``True`` /
-        ``False`` forces the choice.  Traces are bit-identical either way.
+        (default) uses it from ``SMALL_N_CUTOFF`` nodes up; an explicit
+        ``True`` / ``False`` forces the choice.  Traces are bit-identical
+        either way.
     rebuild_quantum:
         Index snapshot lifetime, forwarded to
         :class:`~repro.simulation.spatial.SpatialNeighborIndex`.
-    event_batch:
-        Use macro-event delivery fan-out.  ``None`` (default) follows the
-        simulator's ``event_batch`` resolution at every node count; an
-        explicit ``True`` / ``False`` forces the choice.  Traces are
-        bit-identical either way.
-    small_n_cutoff:
-        Node-count floor for the env-default spatial index (see above).
     """
 
     def __init__(
@@ -132,8 +113,6 @@ class WirelessMedium:
         retry_delay: float = 0.05,
         use_index: bool | None = None,
         rebuild_quantum: float = 0.25,
-        event_batch: bool | None = None,
-        small_n_cutoff: int = SMALL_N_CUTOFF,
     ):
         self.sim = sim
         self.mobility = mobility
@@ -147,32 +126,25 @@ class WirelessMedium:
         self._busy_until: list[float] = []
         self._promiscuous: set[int] = set()
         self._promiscuous_ids = _EMPTY_IDS
-        self.small_n_cutoff = small_n_cutoff
         if use_index is None:
-            want_index = _default_use_index() and mobility.n_nodes >= small_n_cutoff
-        else:
-            want_index = bool(use_index)
+            use_index = mobility.n_nodes >= SMALL_N_CUTOFF
         self.index: SpatialNeighborIndex | None = (
             SpatialNeighborIndex(mobility, tx_range, rebuild_quantum=rebuild_quantum)
-            if want_index
+            if use_index
             else None
-        )
-        self.event_batch: bool = (
-            sim.event_batch if event_batch is None else bool(event_batch)
         )
         # Per-node dispatch tables: medium delivery jumps straight to the
         # routing protocol's handler once one is installed (see
         # Node.set_routing), skipping the on_receive trampoline.
         self._handlers: list[Callable[[Packet, int], None]] = []
         self._overhear_handlers: list[Callable[[Packet, int], None]] = []
-        # Typed dispatch: per-node {ptype: flattened handler} maps published
-        # by fast-path protocols (see RoutingProtocol.typed_handlers), and
-        # the per-ptype rows derived from them.  A broadcast fan-out knows
-        # its packet type once, so each batch entry can bind the receiver's
+        # Typed dispatch: per-node {ptype: handler} maps published by the
+        # routing protocols (see RoutingProtocol.typed_handlers), and the
+        # per-ptype rows derived from them.  A broadcast fan-out knows its
+        # packet type once, so each batch entry can bind the receiver's
         # type-specific handler instead of re-dispatching per delivery.
-        # With no fast handlers registered a row degenerates to _handlers'
-        # contents, so the reference configuration pays one dict lookup per
-        # fan-out and nothing else.
+        # A node without a typed map (no protocol yet, or a protocol that
+        # publishes none) gets its generic receive handler in every row.
         self._typed_handlers: list[dict | None] = []
         self._typed_rows: dict[int, list[Callable[[Packet, int], None]]] = {}
         self._tx_times: dict[int, float] = {}
@@ -221,7 +193,7 @@ class WirelessMedium:
     def _typed_row(self, ptype: int) -> list[Callable[[Packet, int], None]]:
         """Per-receiver handler row for one packet type (built lazily).
 
-        Row ``i`` is node ``i``'s flattened handler for ``ptype`` when its
+        Row ``i`` is node ``i``'s typed handler for ``ptype`` when its
         protocol published one, else its generic receive handler.  Rows are
         invalidated whenever a node attaches or swaps handlers.
         """
@@ -233,7 +205,7 @@ class WirelessMedium:
         return row
 
     def _index_usable(self) -> bool:
-        """The fast paths assume the medium sees every mobility node.
+        """The index paths assume the medium sees every mobility node.
 
         When fewer nodes are attached than the mobility model knows (some
         unit tests build partial stacks), advancing *all* mobility nodes
@@ -255,7 +227,7 @@ class WirelessMedium:
         return self._neighbors_scan(node_id, t)
 
     def _neighbors_scan(self, node_id: int, t: float) -> list[int]:
-        """Reference O(N) scan (pre-index behaviour, bit-exact)."""
+        """O(N) scan: below the cutoff and for partial stacks."""
         x, y = self.mobility.position(node_id, t)
         result = []
         for other in range(len(self.nodes)):
@@ -304,36 +276,22 @@ class WirelessMedium:
         start = self._acquire_transmitter(sender, tx_time)
         if start is None:
             return False
-        arrival = start + tx_time
-        if self.event_batch:
-            self.sim.schedule_transient_at(
-                arrival, self._deliver_broadcast_batched, sender, packet
-            )
-        else:
-            self.sim.schedule_at(arrival, self._deliver_broadcast, sender, packet)
+        self.sim.schedule_transient_at(
+            start + tx_time, self._fan_out, sender, packet
+        )
         return True
 
-    def _deliver_broadcast(self, sender: int, packet: Packet) -> None:
-        """Reference fan-out: one kernel event per surviving receiver."""
-        rng = self.sim.rng
-        for receiver in self.neighbors(sender):
-            if self.loss_rate and rng.random() < self.loss_rate:
-                continue
-            jitter = rng.uniform(0.0, 0.002)
-            self.sim.schedule(jitter, self._hand_to_node, receiver, packet, sender)
-
-    def _deliver_broadcast_batched(self, sender: int, packet: Packet) -> None:
+    def _fan_out(self, sender: int, packet: Packet) -> None:
         """Macro-event fan-out: all draws in one pass, one queued event.
 
-        Draw order matches :meth:`_deliver_broadcast` exactly: per
-        receiver, an optional loss draw then a jitter draw
-        (``now + 0.002 * random()`` is bit-identical to
-        ``now + rng.uniform(0.0, 0.002)``).  One engine seq is reserved
-        per surviving receiver — precisely the seqs the reference loop's
-        ``schedule`` calls would have consumed — so the batch entries
-        carry the same global ``(time, seq)`` keys either way.  Entries
-        hold the receiver's pre-bound handler; the kernel dispatches them
-        (see ``Simulator._run_bucketed`` / ``_run_macro``).
+        Per receiver, in ascending id order: an optional loss draw, then a
+        jitter draw (``now + 0.002 * random()``, bit-identical to
+        ``now + rng.uniform(0.0, 0.002)``).  One engine seq is reserved per
+        surviving receiver — precisely the seqs one ``schedule`` call per
+        receiver would consume — so the batch entries carry the same global
+        ``(time, seq)`` keys either way.  Entries hold the receiver's
+        pre-bound handler; the kernel dispatches them (see
+        ``Simulator._run_loop``).
         """
         receivers = self.neighbors(sender)
         if not receivers:
@@ -343,8 +301,8 @@ class WirelessMedium:
         now = sim.now
         loss = self.loss_rate
         # Receiver pre-classification: the packet type is fixed for the
-        # whole fan-out, so resolve each receiver's type-specific flattened
-        # handler here — per batch, not per delivery.
+        # whole fan-out, so resolve each receiver's type-specific handler
+        # here — per batch, not per delivery.
         ptype = packet.ptype
         handlers = self._typed_rows.get(ptype)
         if handlers is None:
@@ -398,15 +356,9 @@ class WirelessMedium:
         start = self._acquire_transmitter(sender, tx_time)
         if start is None:
             return False
-        arrival = start + tx_time
-        if self.event_batch:
-            self.sim.schedule_transient_at(
-                arrival, self._deliver_unicast, sender, packet, next_hop, on_fail
-            )
-        else:
-            self.sim.schedule_at(
-                arrival, self._deliver_unicast, sender, packet, next_hop, on_fail
-            )
+        self.sim.schedule_transient_at(
+            start + tx_time, self._deliver_unicast, sender, packet, next_hop, on_fail
+        )
         return True
 
     def _deliver_unicast(
@@ -423,15 +375,10 @@ class WirelessMedium:
             and not (self.loss_rate and rng.random() < self.loss_rate)
         )
         if ok:
-            if self.event_batch:
-                # Bit-identical jitter: uniform(0, b) == b * random().
-                self.sim.schedule_transient(
-                    0.001 * rng.random(), self._hand_fast, next_hop, packet, sender
-                )
-            else:
-                self.sim.schedule(
-                    rng.uniform(0.0, 0.001), self._hand_to_node, next_hop, packet, sender
-                )
+            # Bit-identical jitter: uniform(0, b) == b * random().
+            self.sim.schedule_transient(
+                0.001 * rng.random(), self._hand_off, next_hop, packet, sender
+            )
             self._deliver_taps(sender, packet, next_hop, rng)
         elif on_fail is not None:
             self.sim.schedule(self.retry_delay, on_fail, packet, next_hop)
@@ -451,7 +398,8 @@ class WirelessMedium:
         """
         ids = self._promiscuous_ids
         if ids.size and not self._index_usable():
-            # Reference path: full neighbor sweep, pre-index behaviour.
+            # No index (below the cutoff, or a partial stack): full
+            # neighbor sweep.
             for bystander in self.neighbors(sender):
                 if bystander == next_hop:
                     continue
@@ -479,28 +427,14 @@ class WirelessMedium:
             return
         # Ascending order, exact unit-disc decisions — identical to the
         # naive sweep's visit order and predicate.
-        if self.event_batch:
-            overhear = self._overhear_handlers
-            schedule_transient = self.sim.schedule_transient
-            for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
-                schedule_transient(
-                    0.001 * rng.random(), overhear[bystander], packet, sender
-                )
-        else:
-            for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
-                self.sim.schedule(
-                    rng.uniform(0.0, 0.001),
-                    self.nodes[bystander].on_overhear,
-                    packet,
-                    sender,
-                )
+        overhear = self._overhear_handlers
+        schedule_transient = self.sim.schedule_transient
+        for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
+            schedule_transient(
+                0.001 * rng.random(), overhear[bystander], packet, sender
+            )
 
-    def _hand_to_node(self, receiver: int, packet: Packet, sender: int) -> None:
-        """Reference hand-off: through the node's on_receive trampoline."""
-        self.delivered += 1
-        self.nodes[receiver].on_receive(packet, sender)
-
-    def _hand_fast(self, receiver: int, packet: Packet, sender: int) -> None:
-        """Batched hand-off: straight to the dispatch-table handler."""
+    def _hand_off(self, receiver: int, packet: Packet, sender: int) -> None:
+        """Unicast hand-off: straight to the dispatch-table handler."""
         self.delivered += 1
         self._handlers[receiver](packet, sender)

@@ -84,11 +84,11 @@ class Node:
     def refresh_dispatch(self) -> None:
         """(Re-)point the medium's dispatch tables at the protocol handlers.
 
-        Called on protocol install and again after a protocol swaps in its
-        flattened fast-path handlers (which happens after ``set_routing``,
-        at the end of the protocol's own ``__init__``).  Batched delivery
-        then skips the on_receive/on_overhear trampolines, and broadcast
-        fan-out can bind per-packet-type handlers from ``typed_handlers``.
+        Called on protocol install and again once the protocol has
+        published its ``typed_handlers`` (at the end of its own
+        ``__init__``, after ``set_routing``).  Delivery then skips the
+        on_receive/on_overhear trampolines, and broadcast fan-out binds
+        per-packet-type handlers from ``typed_handlers``.
         """
         protocol = self.routing
         if protocol is None:

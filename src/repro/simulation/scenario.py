@@ -146,11 +146,12 @@ def trace_fingerprint(trace: SimulationTrace) -> str:
     Serializes every per-node packet/route event stream, the sampling
     ticks, the velocity samples, the attack ground truth and the
     delivery counters, and hashes the pickle.  Two runs agree on this
-    digest iff they produced byte-identical traces — the equivalence
-    tests *and* the benchmark harness both assert on it, so the
-    fast-path kill switches (``REPRO_SPATIAL_INDEX``,
-    ``REPRO_EVENT_BATCH``) are checked against the same contract
-    everywhere.
+    digest iff they produced byte-identical traces; the benchmark
+    harnesses record and compare it.  The pickle keys the recorder's
+    dicts by ``IntEnum`` members, whose pickled form differs between
+    Python releases, so the tier-1 golden digests
+    (``tests/simulation/test_trace_golden.py``) hash an int-keyed form of
+    the same content instead.
     """
     recorder_state = [
         (node.packet_times, node.route_times, node.route_length_samples)

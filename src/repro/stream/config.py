@@ -48,8 +48,7 @@ asserts the symmetry by introspection):
     to every :class:`~repro.stream.fleet.FleetAlarm`.  Off by default
     (:data:`DEFAULT_ATTRIBUTION`) — verdicts are pure annotation
     (scores/alarms stay bit-identical either way), but cost one extra
-    sub-model pass per alarming window.  ``REPRO_ATTRIBUTION=0``
-    force-disables it regardless of this knob.
+    sub-model pass per alarming window.
 ``stall_timeout`` : float | None
     Fleet liveness bound, in simulation seconds: a lane whose frontier
     lags the most advanced live lane by more than this is auto-sealed

@@ -132,7 +132,7 @@ class OnlineDetector:
         :class:`~repro.attribution.AlarmAttributor` over this model and
         threshold, or pass a configured attributor.  Runs strictly
         after scoring — scores and alarm decisions are bit-identical
-        with it on or off (``REPRO_ATTRIBUTION=0`` force-disables).
+        with it on or off.
     """
 
     def __init__(

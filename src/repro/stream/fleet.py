@@ -67,7 +67,6 @@ import numpy as np
 from repro.attribution import (
     AlarmAttributor,
     Verdict,
-    attribution_enabled,
     contribution_matrix,
     fuse_verdicts,
 )
@@ -336,7 +335,7 @@ class FleetDetector:
         in one batched call per tick bucket, and a fused verdict voted
         over the alarming lanes on each :class:`FleetAlarm`.  Runs
         strictly after scoring — scores/alarms/fused timing are
-        bit-identical on or off (``REPRO_ATTRIBUTION=0`` force-disables).
+        bit-identical on or off.
     """
 
     def __init__(
@@ -372,7 +371,7 @@ class FleetDetector:
         self.stall_timeout = stall_timeout
         self.on_fault = on_fault
         self.on_seal = on_seal
-        self.attribution = bool(attribution) and attribution_enabled()
+        self.attribution = bool(attribution)
         self._attributors: dict[str, AlarmAttributor] = {}
         self.fused: list[FleetAlarm] = []
         self.batch_sizes: list[int] = []

@@ -7,7 +7,6 @@ from repro.attribution import (
     AlarmAttributor,
     AnomalyType,
     Verdict,
-    attribution_enabled,
     fuse_verdicts,
     resolve_attributor,
 )
@@ -164,14 +163,6 @@ class TestResolve:
     def test_instance_passes_through(self, model):
         custom = make(model, top_k=3)
         assert resolve_attributor(model, 0.5, custom) is custom
-
-    def test_kill_switch_wins(self, model, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-        assert not attribution_enabled()
-        assert resolve_attributor(model, 0.5, True) is None
-        monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
-        assert attribution_enabled()
-        assert resolve_attributor(model, 0.5, True) is not None
 
 
 def verdict(atype, match=0.5, features=("a", "b"), targets=(0, 1),

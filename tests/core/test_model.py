@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.model import CrossFeatureDetector, CrossFeatureModel
 from repro.ml import CLASSIFIERS
+from tests.ml.reference import REFERENCE_CLASSIFIERS
 
 
 def correlated_normal(n=400, seed=0):
@@ -76,21 +77,21 @@ class TestTraining:
 class TestSharedPassTraining:
     """The shared-pass ensemble fit (one discretization scan, pairwise
     contingency tensor, keep-index gathers) must train sub-models
-    identical to the reference per-sub-model loop (REPRO_FAST_FIT=0)."""
+    identical to the reference per-sub-model loop (the tests-side
+    factories in ``tests/ml/reference.py``)."""
 
     @staticmethod
-    def _reference_model(monkeypatch, **kwargs):
-        monkeypatch.setenv("REPRO_FAST_FIT", "0")
-        model = CrossFeatureModel(**kwargs)
+    def _reference_model(name="c45", **kwargs):
+        model = CrossFeatureModel(
+            classifier_factory=REFERENCE_CLASSIFIERS[name], **kwargs
+        )
         model.fit(correlated_normal())
-        monkeypatch.delenv("REPRO_FAST_FIT")
         return model
 
     @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
-    def test_sub_model_outputs_identical(self, monkeypatch, name):
-        factory = CLASSIFIERS[name]
-        ref = self._reference_model(monkeypatch, classifier_factory=factory)
-        shared = CrossFeatureModel(classifier_factory=factory)
+    def test_sub_model_outputs_identical(self, name):
+        ref = self._reference_model(name)
+        shared = CrossFeatureModel(classifier_factory=CLASSIFIERS[name])
         shared.fit(correlated_normal())
         X = np.vstack([correlated_normal(seed=21), broken_correlation(seed=22)])
         m_ref, p_ref = ref._sub_model_outputs(X)
@@ -98,18 +99,18 @@ class TestSharedPassTraining:
         np.testing.assert_array_equal(m_ref, m_new)
         np.testing.assert_array_equal(p_ref, p_new)
 
-    def test_c45_trees_structurally_identical(self, monkeypatch):
+    def test_c45_trees_structurally_identical(self):
         from repro.ml.decision_tree import trees_equal
 
-        ref = self._reference_model(monkeypatch)
+        ref = self._reference_model()
         shared = CrossFeatureModel()
         shared.fit(correlated_normal())
         assert shared.targets_ == ref.targets_
         for a, b in zip(shared.models_, ref.models_):
             assert trees_equal(a.root_, b.root_)
 
-    def test_max_models_subset_identical(self, monkeypatch):
-        ref = self._reference_model(monkeypatch, max_models=3)
+    def test_max_models_subset_identical(self):
+        ref = self._reference_model(max_models=3)
         shared = CrossFeatureModel(max_models=3)
         shared.fit(correlated_normal())
         assert shared.targets_ == ref.targets_

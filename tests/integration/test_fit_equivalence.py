@@ -1,10 +1,12 @@
 """End-to-end equivalence of the shared-pass ensemble training.
 
-``REPRO_FAST_FIT=0`` forces the reference per-sub-model training loop
-(full ``np.delete`` copies, per-attribute histogram passes); the default
-shared-pass path must produce ``np.array_equal`` detection scores on the
-same simulated traces — for both routing protocols, sharing one trace
-cache so only the training path differs.
+The tests-side reference classifiers (``tests/ml/reference.py``), put in
+place of the shipped ones in ``CLASSIFIERS``, force the reference
+per-sub-model training loop (full ``np.delete`` copies, per-attribute
+histogram passes, C4.5's reference growth); the shipped shared-pass path
+must produce ``np.array_equal`` detection scores on the same simulated
+traces — for both routing protocols, sharing one trace cache so only the
+training path differs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.eval.experiments import ExperimentPlan
+from repro.ml import CLASSIFIERS
 from repro.runtime import Session
+from tests.ml.reference import REFERENCE_CLASSIFIERS
 
 PLAN = ExperimentPlan(
     n_nodes=6,
@@ -37,10 +41,10 @@ def test_detect_scores_identical_with_and_without_fast_fit(
 ):
     plan = replace(PLAN, protocol=protocol)
 
-    monkeypatch.setenv("REPRO_FAST_FIT", "0")
-    reference = Session(cache_dir=tmp_path).detect(plan, classifier=classifier)
+    with monkeypatch.context() as patch:
+        patch.setitem(CLASSIFIERS, classifier, REFERENCE_CLASSIFIERS[classifier])
+        reference = Session(cache_dir=tmp_path).detect(plan, classifier=classifier)
 
-    monkeypatch.setenv("REPRO_FAST_FIT", "1")
     shared = Session(cache_dir=tmp_path).detect(plan, classifier=classifier)
 
     assert np.array_equal(reference.scores, shared.scores)

@@ -98,16 +98,6 @@ class TestC45Identity:
         ref = C45Classifier()._fit_reference(X, y)
         _assert_identical_fits(model, ref, X)
 
-    def test_kill_switch_forces_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_FIT", "0")
-        rng = np.random.default_rng(13)
-        X, y = _rng_dataset(rng, 80, 4, k_x=4, k_y=3)
-        model = C45Classifier()
-        model.fit(X, y)
-        assert not model._fast_fit_usable()
-        ref = C45Classifier()._fit_reference(X, y)
-        _assert_identical_fits(model, ref, X)
-
     def test_root_tables_reproduce_plain_fit(self):
         rng = np.random.default_rng(17)
         X, y = _rng_dataset(rng, 150, 6, k_x=5, k_y=4)

@@ -17,7 +17,11 @@ from repro.simulation.stats import TraceRecorder
 
 
 class Net:
-    """A static test network with one routing protocol on every node."""
+    """A static test network with one routing protocol on every node.
+
+    ``protocol`` is ``"aodv"``, ``"dsr"`` or a protocol class (e.g. a
+    reference stack from :mod:`tests.routing.reference`).
+    """
 
     def __init__(self, positions, protocol="aodv", tx_range=250.0, seed=0, **proto_kwargs):
         self.sim = Simulator(seed=seed)
@@ -28,7 +32,10 @@ class Net:
             Node(i, self.sim, self.medium, self.recorder[i])
             for i in range(len(positions))
         ]
-        cls = AodvProtocol if protocol == "aodv" else DsrProtocol
+        if isinstance(protocol, type):
+            cls = protocol
+        else:
+            cls = AodvProtocol if protocol == "aodv" else DsrProtocol
         self.protocols = [cls(node, **proto_kwargs) for node in self.nodes]
 
     def run(self, duration: float) -> None:

@@ -6,6 +6,7 @@ from repro.simulation.packet import Direction, Packet, PacketType
 from repro.simulation.stats import RouteEventKind
 
 from tests.routing.helpers import Net, line, received_count, sent_count
+from tests.routing.reference import ReferenceAodv
 
 
 class TestBuffering:
@@ -69,10 +70,13 @@ class TestDedupAndTtl:
         net.run(1.0)
         assert net.stats(1).packet_count(PacketType.DATA, Direction.DROPPED) >= 1
 
-    @pytest.mark.parametrize("routing_fast", [False, True])
-    def test_seen_rreq_cache_pruned(self, routing_fast):
-        """Both seen stores forget ancient entries once >512 accumulate."""
-        net = line(2, routing_fast=routing_fast)
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_seen_rreq_cache_pruned(self, shipped):
+        """Both seen stores forget ancient entries once >512 accumulate.
+
+        ``shipped=False`` runs the reference stack's tuple-keyed store.
+        """
+        net = line(2, protocol="aodv" if shipped else ReferenceAodv)
         proto = net.protocols[0]
         for i in range(600):
             proto._seen_mark(99, i, -1.0)  # strictly older than any purge horizon

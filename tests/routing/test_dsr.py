@@ -32,8 +32,10 @@ class TestRouteCache:
         cache = RouteCache(owner=0, path_ttl=10.0)
         cache.add(3, (1, 3), now=0.0)
         cache.add(4, (2, 4), now=5.0)
-        assert cache.purge(now=12.0) == 1
+        # (3 expired at 10.0; 4's path survives until 15.0.)
+        assert cache.purge(now=12.0) == (1, 15.0)
         assert len(cache) == 1
+        assert cache.purge(now=16.0) == (1, float("inf"))
 
     def test_remove_link_interior(self):
         cache = RouteCache(owner=0)

@@ -6,6 +6,7 @@ from repro.simulation.packet import Direction, Packet, PacketType
 from repro.simulation.stats import RouteEventKind
 
 from tests.routing.helpers import Net, line, sent_count
+from tests.routing.reference import ReferenceDsr
 
 
 class TestBuffering:
@@ -84,10 +85,13 @@ class TestCacheHygiene:
         assert net.protocols[0].cache.get(2, net.sim.now) is None
         assert net.stats(0).route_event_count(RouteEventKind.REMOVAL) >= 1
 
-    @pytest.mark.parametrize("routing_fast", [False, True])
-    def test_seen_rreq_cache_pruned(self, routing_fast):
-        """Both seen stores forget ancient entries once >512 accumulate."""
-        net = line(2, protocol="dsr", routing_fast=routing_fast)
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_seen_rreq_cache_pruned(self, shipped):
+        """Both seen stores forget ancient entries once >512 accumulate.
+
+        ``shipped=False`` runs the reference stack's tuple-keyed store.
+        """
+        net = line(2, protocol="dsr" if shipped else ReferenceDsr)
         proto = net.protocols[0]
         for i in range(600):
             proto._seen_mark(99, i, -1.0)
@@ -119,7 +123,7 @@ class TestGratuitousReplies:
         net.run(5.0)
         assert net.protocols[1].cache.get(3, net.sim.now) is not None
         finds_before = net.stats(1).route_event_count(RouteEventKind.FIND)
-        net.protocols[1]._handle_rreq(self._fabricated_rreq(777), from_id=0)
+        net.protocols[1].handle_packet(self._fabricated_rreq(777), from_id=0)
         net.run(2.0)
         assert sent_count(net, 1, PacketType.RREP) >= 1
         assert net.stats(1).route_event_count(RouteEventKind.FIND) > finds_before
@@ -128,7 +132,7 @@ class TestGratuitousReplies:
         net = line(4, protocol="dsr", gratuitous_replies=False)
         net.send(1, 3)
         net.run(5.0)
-        net.protocols[1]._handle_rreq(self._fabricated_rreq(778), from_id=0)
+        net.protocols[1].handle_packet(self._fabricated_rreq(778), from_id=0)
         net.run(2.0)
         # Node 1 relays the discovery instead of answering from cache.
         assert sent_count(net, 1, PacketType.RREP) == 0

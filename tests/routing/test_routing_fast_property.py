@@ -1,14 +1,16 @@
-"""Property test: the routing fast path is observationally invisible.
+"""Property test: the shipped routing handlers match the reference bodies.
 
 Hypothesis drives randomized RREQ flood fan-outs — arbitrary static
 topologies, forged origins, duplicate-heavy request ids, short TTLs —
-through two otherwise identical stacks:
+through two stacks on the same kernel and medium:
 
-* **fast** — batched medium delivery (the macro fan-out whose typed
-  dispatch rows call the flattened handlers) with ``routing_fast=True``
-  (per-origin seen structures + pre-classified duplicate discards);
-* **reference** — per-receiver heap delivery with ``routing_fast=False``
-  (the verbatim reference handler bodies and the tuple-keyed seen dict).
+* **shipped** — :class:`AodvProtocol` / :class:`DsrProtocol`: the typed
+  fan-out rows call the flattened per-type handlers (per-origin seen
+  structures + pre-classified duplicate discards);
+* **reference** — the tests-only subclasses in
+  ``tests/routing/reference.py``: every delivery goes through
+  ``handle_packet`` to the plain handler bodies and the tuple-keyed seen
+  dict.
 
 After the floods (and the protocols' own background HELLO traffic) play
 out, the two stacks must agree on
@@ -22,10 +24,10 @@ out, the two stacks must agree on
    delivery jitter is drawn from the shared simulator RNG in dispatch
    order, so any reordering would shift every draw after it.
 
-This is the micro-scale complement of the 8-mode scenario matrix in
-``tests/simulation/test_trace_equivalence.py``: instead of a handful of
-seeded scenarios it samples the space of flood patterns directly, and
-shrinks to a minimal counterexample on failure.
+This is the micro-scale complement of the golden scenario digests in
+``tests/simulation/test_trace_golden.py``: instead of a handful of seeded
+scenarios it samples the space of flood patterns directly, and shrinks to
+a minimal counterexample on failure.
 """
 
 import pytest
@@ -41,6 +43,7 @@ from repro.simulation.mobility import StaticMobility
 from repro.simulation.node import Node
 from repro.simulation.packet import BROADCAST, Direction, Packet, PacketType
 from repro.simulation.stats import TraceRecorder
+from tests.routing.reference import ReferenceAodv, ReferenceDsr
 
 MAX_NODES = 6
 #: Flood ids are drawn tiny on purpose: most generated fan-outs contain
@@ -74,17 +77,22 @@ floods = st.lists(
 )
 
 
-def _build(protocol, places, routing_fast):
-    """One full stack; ``routing_fast`` gates both kill switches at once."""
+#: protocol -> (shipped class, reference class).
+STACKS = {
+    "aodv": (AodvProtocol, ReferenceAodv),
+    "dsr": (DsrProtocol, ReferenceDsr),
+}
+
+
+def _build(protocol, places, reference):
+    """One full stack with the shipped or the reference protocol."""
     sim = Simulator(seed=7)
     mobility = StaticMobility(list(places))
-    medium = WirelessMedium(
-        sim, mobility, tx_range=250.0, event_batch=routing_fast
-    )
+    medium = WirelessMedium(sim, mobility, tx_range=250.0)
     recorder = TraceRecorder(len(places))
     nodes = [Node(i, sim, medium, recorder[i]) for i in range(len(places))]
-    cls = AodvProtocol if protocol == "aodv" else DsrProtocol
-    protocols = [cls(node, routing_fast=routing_fast) for node in nodes]
+    cls = STACKS[protocol][reference]
+    protocols = [cls(node) for node in nodes]
     return sim, nodes, protocols, recorder
 
 
@@ -104,8 +112,8 @@ def _make_rreq(protocol, origin, rreq_id, target, ttl):
     )
 
 
-def _run_floods(protocol, places, plan, routing_fast):
-    sim, nodes, protocols, recorder = _build(protocol, places, routing_fast)
+def _run_floods(protocol, places, plan, reference):
+    sim, nodes, protocols, recorder = _build(protocol, places, reference)
     for sender, origin, rreq_id, target, ttl, delay in plan:
         packet = _make_rreq(protocol, origin, rreq_id, target, ttl)
         sim.schedule(delay, nodes[sender].broadcast, packet)
@@ -126,8 +134,8 @@ def test_randomized_rreq_fanouts_equivalent(protocol, places, plan):
         (s % n, o % n, r, t % n, ttl, delay)
         for s, o, r, t, ttl, delay in plan
     ]
-    fast_protos, fast_rec = _run_floods(protocol, places, plan, True)
-    ref_protos, ref_rec = _run_floods(protocol, places, plan, False)
+    fast_protos, fast_rec = _run_floods(protocol, places, plan, reference=False)
+    ref_protos, ref_rec = _run_floods(protocol, places, plan, reference=True)
 
     for i in range(n):
         fast, ref = fast_protos[i], ref_protos[i]

@@ -54,6 +54,21 @@ class TestStageMetrics:
         assert m.stage_seconds == {}
 
 
+class TestSimulatorBenchRows:
+    def test_scenario_row_times_the_one_stack(self):
+        """An end-to-end row records the shipped stack's best-of-N seconds,
+        its trace-event count and fingerprint (repeats must agree)."""
+        from repro.runtime.bench import _scenario_config, _scenario_seconds
+        from repro.simulation.scenario import run_scenario, trace_fingerprint
+
+        config = _scenario_config(8, 10.0, "aodv", seed=1)
+        seconds, events, fingerprint = _scenario_seconds(config, repeats=2)
+        trace = run_scenario(config)
+        assert seconds > 0
+        assert events == trace.recorder.total_packets() > 0
+        assert fingerprint == trace_fingerprint(trace)
+
+
 class TestModelBenchQuick:
     def test_quick_model_bench_runs_and_verifies(self):
         """The quick model suite asserts scoring *and* fit equivalence

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulation.engine import Simulator
+from tests.simulation.reference import HeapSimulator
 
 
 class TestScheduling:
@@ -89,11 +90,14 @@ class TestCancellation:
 
 
 class TestPendingCounter:
-    """``pending_events`` is a live O(1) counter, exact in both modes."""
+    """``pending_events`` is a live O(1) counter, exact under both loops.
 
-    @pytest.mark.parametrize("event_batch", [False, True])
-    def test_tracks_schedule_dispatch_and_cancel(self, event_batch):
-        sim = Simulator(event_batch=event_batch)
+    ``bucketed=False`` runs the same queue through the reference heap loop.
+    """
+
+    @pytest.mark.parametrize("bucketed", [False, True])
+    def test_tracks_schedule_dispatch_and_cancel(self, bucketed):
+        sim = Simulator() if bucketed else HeapSimulator()
         observed = []
         assert sim.pending_events == 0
         sim.schedule(1.0, lambda: observed.append(sim.pending_events))
@@ -110,9 +114,9 @@ class TestPendingCounter:
         assert observed == [2, 1, 0]
         assert sim.pending_events == 0
 
-    @pytest.mark.parametrize("event_batch", [False, True])
-    def test_counts_events_scheduled_from_callbacks(self, event_batch):
-        sim = Simulator(event_batch=event_batch)
+    @pytest.mark.parametrize("bucketed", [False, True])
+    def test_counts_events_scheduled_from_callbacks(self, bucketed):
+        sim = Simulator() if bucketed else HeapSimulator()
         seen = []
 
         def parent():
@@ -130,7 +134,7 @@ class TestPendingCounter:
         assert seen == [1, 0]
 
     def test_interrupted_run_preserves_count(self):
-        sim = Simulator(event_batch=True, lane_quantum=100.0)
+        sim = Simulator(lane_quantum=100.0)
         # All three land in one bucket window; stop() after the first.
         sim.schedule(1.0, sim.stop)
         sim.schedule(1.5, lambda: None)

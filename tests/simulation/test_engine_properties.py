@@ -1,12 +1,12 @@
 """Hypothesis properties of the event kernel and routing data structures."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing.aodv import AodvRouteEntry
 from repro.routing.dsr import RouteCache
 from repro.simulation.engine import Simulator
+from tests.simulation.reference import HeapSimulator
 
 
 @st.composite
@@ -16,7 +16,7 @@ def kernel_programs(draw):
     Top-level events are scheduled with a mix of relative and absolute
     calls; when fired, an event may schedule children, fire transient
     (pooled) callbacks, cancel another top-level handle, or stop the
-    run.  The program is replayed verbatim on both kernel modes.
+    run.  The program is replayed verbatim on both kernels.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     times = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -44,11 +44,9 @@ def kernel_programs(draw):
     }
 
 
-def _execute(program, event_batch):
+def _execute(program, kernel):
     """Run a kernel program; return its complete observable behaviour."""
-    sim = Simulator(
-        seed=0, event_batch=event_batch, lane_quantum=program["lane_quantum"]
-    )
+    sim = kernel(seed=0, lane_quantum=program["lane_quantum"])
     log = []
     handles = []
 
@@ -79,26 +77,26 @@ def _execute(program, event_batch):
 
 
 class TestKernelModeEquivalence:
-    """Bucketed lane vs pure-heap reference: identical execution order.
+    """Bucketed lane vs the pure-heap oracle: identical execution order.
 
-    The bucketed kernel must be observationally indistinguishable from
-    the reference loop — same events in the same ``(time, seq)`` order
-    at the same clock readings, same live pending count, same processed
-    total — under cancellation, nested scheduling, transient pooling,
-    ``stop()`` and segmented ``run(until=...)`` resumption.
+    The shipped kernel must be observationally indistinguishable from
+    :class:`HeapSimulator` — same events in the same ``(time, seq)``
+    order at the same clock readings, same live pending count, same
+    processed total — under cancellation, nested scheduling, transient
+    pooling, ``stop()`` and segmented ``run(until=...)`` resumption.
     """
 
     @given(program=kernel_programs())
     @settings(max_examples=200, deadline=None)
     def test_bucketed_matches_reference(self, program):
-        reference = _execute(program, event_batch=False)
-        bucketed = _execute(program, event_batch=True)
+        reference = _execute(program, HeapSimulator)
+        bucketed = _execute(program, Simulator)
         assert bucketed == reference
 
     @given(program=kernel_programs())
     @settings(max_examples=50, deadline=None)
     def test_reference_log_is_time_ordered(self, program):
-        log, _, _, _ = _execute(program, event_batch=False)
+        log, _, _, _ = _execute(program, HeapSimulator)
         assert [t for t, _ in log] == sorted(t for t, _ in log)
 
 

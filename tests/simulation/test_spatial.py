@@ -3,8 +3,8 @@
 The index is an optimization with a hard contract: every query answers
 exactly what the naive O(N) scan answers, in the same order, while
 consuming the same shared-RNG draw sequence.  These tests pin the
-contract piece by piece; ``test_trace_equivalence.py`` checks it
-end to end.
+contract piece by piece; the 64- and 100-node cases in
+``test_trace_golden.py`` check it end to end.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.engine import Simulator
-from repro.simulation.medium import WirelessMedium
+from repro.simulation.medium import SMALL_N_CUTOFF, WirelessMedium
 from repro.simulation.mobility import RandomWaypointMobility, StaticMobility
 from repro.simulation.node import Node
 from repro.simulation.spatial import SpatialNeighborIndex
@@ -153,7 +153,7 @@ class TestRebuildPolicy:
 
 class TestMediumFallback:
     def test_partial_stack_uses_naive_scan(self):
-        """Fewer attached nodes than mobility knows => reference path."""
+        """Fewer attached nodes than mobility knows => naive scan."""
         sim = Simulator(seed=0)
         mobility = RandomWaypointMobility(n_nodes=10, rng=sim.rng)
         medium = WirelessMedium(sim, mobility, use_index=True)
@@ -163,12 +163,13 @@ class TestMediumFallback:
         assert not medium._index_usable()
         assert isinstance(medium.neighbors(0), list)
 
-    def test_env_var_disables_index(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPATIAL_INDEX", "0")
-        sim = Simulator(seed=0)
-        mobility = RandomWaypointMobility(n_nodes=4, rng=sim.rng)
-        medium = WirelessMedium(sim, mobility)
-        assert medium.index is None
+    def test_default_index_follows_the_cutoff(self):
+        """The index is built from SMALL_N_CUTOFF nodes up, unless forced."""
+        for n_nodes, expect_index in ((SMALL_N_CUTOFF - 1, False), (SMALL_N_CUTOFF, True)):
+            sim = Simulator(seed=0)
+            mobility = RandomWaypointMobility(n_nodes=n_nodes, rng=sim.rng)
+            assert (WirelessMedium(sim, mobility).index is not None) == expect_index
+            assert WirelessMedium(sim, mobility, use_index=False).index is None
 
     def test_promiscuous_registry_tracks_setter(self):
         sim = Simulator(seed=0)

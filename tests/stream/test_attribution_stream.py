@@ -1,8 +1,7 @@
 """Attribution riding the stream layer: pure annotation, durable state.
 
-The hard contract: attribution on vs. off (or killed via
-``REPRO_ATTRIBUTION=0``) cannot change a score, an alarm, or fused
-timing — it only *annotates* alarms with verdicts.  And the verdict
+The hard contract: attribution on vs. off cannot change a score, an
+alarm, or fused timing — it only *annotates* alarms with verdicts.  And the verdict
 state rides the PR-7 checkpoint machinery bit-identically.
 """
 
@@ -74,18 +73,6 @@ class TestOnlineBitIdentity:
         assert on.alarms, "fixture must actually alarm"
         assert all(a.verdict is not None for a in on.alarms)
         assert all(a.verdict is None for a in off.alarms)
-
-    def test_kill_switch_disables_verdicts_without_changing_bits(
-        self, model, threshold, monkeypatch
-    ):
-        rows = mixed_rows()
-        on = run_online(model, threshold, rows, attribution=True)
-        monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-        killed = run_online(model, threshold, rows, attribution=True)
-        assert killed.attribution is None
-        assert np.array_equal(np.asarray(killed.scores), np.asarray(on.scores))
-        assert alarm_keys(killed.alarms) == alarm_keys(on.alarms)
-        assert all(a.verdict is None for a in killed.alarms)
 
     def test_default_is_off(self, model, threshold):
         online = OnlineDetector(model, threshold)
@@ -180,12 +167,6 @@ class TestFleetBitIdentity:
         online = run_online(model, threshold, rows, attribution=True)
         assert [a.verdict for a in fleet._lanes["n0"].alarms] == \
             [a.verdict for a in online.alarms]
-
-    def test_kill_switch_applies_to_fleet(self, model, threshold, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-        killed = self.drive(model, threshold, attribution=True)
-        assert not killed._attributors
-        assert all(f.verdict is None for f in killed.fused)
 
     def test_fused_verdict_votes_over_lanes(self, model, threshold):
         fleet = self.drive(model, threshold, attribution=True)
