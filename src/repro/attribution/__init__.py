@@ -75,23 +75,9 @@ __all__ = [
     "group_shares",
     "residual_flags",
     "residual_zscores",
-    "resolve_attributor",
     "score_change_points",
     "signed_activity",
     "target_indices",
     "top_contributors",
 ]
 
-
-def resolve_attributor(model, threshold, attribution) -> AlarmAttributor | None:
-    """Normalise a detector's ``attribution`` argument.
-
-    ``False``/``None`` → off; ``True`` → a default
-    :class:`AlarmAttributor` over the detector's model and threshold; an
-    :class:`AlarmAttributor` instance is adopted as-is.
-    """
-    if attribution is None or attribution is False:
-        return None
-    if attribution is True:
-        return AlarmAttributor(model, threshold)
-    return attribution

@@ -30,6 +30,7 @@ them raises :class:`ImportError` with the migration hint.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import warnings
 from contextlib import contextmanager, nullcontext
@@ -122,6 +123,39 @@ def _assemble_raw(plan: ExperimentPlan, traces: "list[SimulationTrace]") -> RawT
         normal_evals=traces[n_train + 1:n_train + 1 + n_normal],
         abnormal_evals=traces[n_train + 1 + n_normal:],
     )
+
+
+def _stream_lanes(
+    plan: ExperimentPlan,
+    seeds: Sequence[int] | None,
+    monitors: Sequence[int] | None,
+    attack: bool,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Resolve and validate a streaming run's seeds and monitors.
+
+    Runs before any training or simulation, so a bad lane list fails
+    fast with the offending monitor named.  ``None`` seeds default to
+    the plan's first attack (or normal) seed, ``None`` monitors to every
+    node except the attacker — who may never be watched (the rule
+    :class:`ExperimentPlan` applies to its own monitor).
+    """
+    if seeds is None:
+        seeds = (plan.attack_seeds[0] if attack else plan.normal_seeds[0],)
+    if monitors is None:
+        monitors = [m for m in range(plan.n_nodes) if m != plan.attacker]
+    seeds, monitors = tuple(seeds), tuple(monitors)
+    if not seeds:
+        raise ValueError("seeds is empty: name at least one scenario seed")
+    if not monitors:
+        raise ValueError("monitors is empty: name at least one node to watch")
+    for k, m in enumerate(monitors):
+        if not 0 <= m < plan.n_nodes:
+            raise ValueError(f"monitor {m} is out of range for {plan.n_nodes} nodes")
+        if m == plan.attacker:
+            raise ValueError(f"monitor {m} must differ from the attacker")
+        if m in monitors[:k]:
+            raise ValueError(f"monitor {m} is listed twice")
+    return seeds, monitors
 
 
 class Session:
@@ -476,15 +510,19 @@ class Session:
     ) -> "StreamResult":
         """Online detection: train offline, then score a *live* scenario.
 
-        Trains (or reuses) the plan's detector via
-        :meth:`fitted_detector` — the training/calibration traces go
-        through the cache + executor as usual — then runs ONE fresh
-        scenario with a :class:`~repro.stream.StreamingExtractor` tap
-        wired into the monitor's recorder, scoring every sampling window
-        the moment it closes and raising :class:`~repro.stream.Alarm`
-        events (surfaced as ``"alarm"`` metrics events, so the CLI can
-        print them live).  Per-window features and scores are
-        bit-identical to the batch pipeline over the same trace.
+        A one-lane :meth:`fleet_detect`: trains (or reuses) the plan's
+        detector via :meth:`fitted_detector` — the training/calibration
+        traces go through the cache + executor as usual — then runs ONE
+        fresh scenario with the single lane ``"s0/n<monitor>"`` riding
+        it, scoring every sampling window and raising
+        :class:`~repro.stream.Alarm` events (surfaced as ``"alarm"``
+        metrics events, so the CLI can print them live).  A window
+        scores when the next sampling tick (or the end of the run)
+        finalises it.  Per-window features and scores are bit-identical
+        to the batch pipeline over the same trace.  The run is timed as
+        the ``stream`` stage and records no fused alarms or batches; a
+        single stream has no stall timeout and no consecutive-fault
+        breaker.
 
         Parameters
         ----------
@@ -500,133 +538,27 @@ class Session:
             :mod:`repro.stream.config`); ``None`` defaults to the plan's
             monitor / warmup, the calibrated threshold and the shared
             row policy.  ``attribution=True`` attaches a typed
-            :class:`~repro.attribution.Verdict` to every alarm — the
-            ``"alarm"`` metrics events gain ``type=... features=...``
-            fragments and each verdict is counted via
-            :meth:`RuntimeMetrics.record_verdict` (scores and alarm
-            decisions are unchanged).
-        checkpoint, checkpoint_every, resume_from:
-            Durable-run knobs (see :mod:`repro.stream.durability`):
-            ``checkpoint`` snapshots the full streaming state every
-            ``checkpoint_every`` sampling ticks; ``resume_from``
-            restores such a snapshot and continues, with scores and
-            alarms bit-identical to the uninterrupted run.
-        stream_faults:
-            A :class:`~repro.stream.faults.StreamFaultPlan` (or its
-            mini-language string) of injected row / crash / checkpoint
-            faults — the chaos-testing path.
-
-        A plain live run (no durability knobs) bypasses the artifact
-        cache: taps consume events as they happen, so the trace is
-        simulated fresh (timed as the ``stream`` stage).  A *durable*
-        run — any of ``checkpoint`` / ``resume_from`` /
-        ``stream_faults`` set — instead records (or loads) the trace
-        through the cache + executor and replays it, because the resume
-        contract is anchored in the replay's deterministic dispatch
-        order (the PR 4 live==replay contract keeps the scores
-        bit-identical either way).  Ground-truth labels are attached
-        post hoc from the completed trace under the plan's label policy.
+            :class:`~repro.attribution.Verdict` to every alarm (scores
+            and alarm decisions are unchanged).
+        checkpoint, checkpoint_every, resume_from, stream_faults:
+            Durable-run and chaos knobs, as in :meth:`fleet_detect`:
+            checkpoints are fleet files and fault clauses name the lane
+            ``s0/n<monitor>``.
         """
-        import numpy as np
-
-        from repro.simulation.scenario import run_scenario
-        from repro.stream.detector import OnlineDetector
-        from repro.stream.durability import run_durable_stream
-        from repro.stream.extractor import extractor_for_config
-        from repro.stream.faults import RowFaultInjector, StreamFaultPlan
-
-        detector = self.fitted_detector(
-            plan,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
-        )
-
         monitor = plan.monitor if monitor is None else int(monitor)
-        if monitor == plan.attacker:
-            raise ValueError("monitor must differ from the attacker")
-        warmup = plan.warmup if warmup is None else float(warmup)
-        if seed is None:
-            seed = plan.attack_seeds[0] if attack else plan.normal_seeds[0]
-        config = plan.scenario_config(seed)
-        attacks = plan.build_attacks() if attack else []
-        if isinstance(stream_faults, str):
-            stream_faults = StreamFaultPlan.parse(stream_faults)
-        durable = (
-            checkpoint is not None
-            or resume_from is not None
-            or stream_faults is not None
+        result = self._detect_streams(
+            plan, "stream", False, seeds=None if seed is None else (seed,),
+            monitors=(monitor,), attack=attack, warmup=warmup,
+            on_alarm=on_alarm, on_fused=None, checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every, resume_from=resume_from,
+            stream_faults=stream_faults, threshold=threshold, quorum=1,
+            classifier=classifier, method=method,
+            false_alarm_rate=false_alarm_rate, max_models=max_models,
+            n_buckets=n_buckets, n_jobs=n_jobs, row_policy=row_policy,
+            attribution=attribution, max_consecutive_faults=sys.maxsize,
+            stall_timeout=None,
         )
-
-        def relay(alarm: "Alarm") -> None:
-            label = (
-                f"window t={alarm.time:g}s score={alarm.score:.4f} "
-                f"< {alarm.threshold:.4f}"
-            )
-            if alarm.verdict is not None:
-                label += f" {alarm.verdict.summary()}"
-                self.metrics.record_verdict(
-                    f"t={alarm.time:g}s {alarm.verdict.summary()}"
-                )
-            self.metrics.record_alarm(label, alarm.latency_s)
-            if on_alarm is not None:
-                on_alarm(alarm)
-
-        def relay_fault(fault: "StreamFault") -> None:
-            self.metrics.record_stream_fault(
-                f"{fault.stream or f'n{monitor}'} {fault.kind} "
-                f"row {fault.index} t={fault.time:g}: {fault.detail}"
-            )
-
-        online = OnlineDetector.from_detector(
-            detector, threshold=threshold, monitor=monitor, on_alarm=relay,
-            row_policy=row_policy, on_fault=relay_fault,
-            attribution=attribution,
-        )
-        injector = (
-            RowFaultInjector(stream_faults, f"n{monitor}", deliver=online.consume)
-            if stream_faults else None
-        )
-        tap = extractor_for_config(
-            config,
-            monitor=monitor,
-            periods=plan.periods,
-            warmup=warmup,
-            on_row=injector if injector is not None else online.consume,
-            keep_rows=False,
-        )
-        if durable:
-            trace = self.trace(config, attacks, label=f"stream[{seed}]")
-            with self._stage("stream") as timer:
-                run_durable_stream(
-                    trace,
-                    tap,
-                    online,
-                    injector,
-                    checkpoint=checkpoint,
-                    checkpoint_every=checkpoint_every,
-                    resume_from=resume_from,
-                    faults=stream_faults,
-                    on_checkpoint=lambda p: self.metrics.record_checkpoint(str(p)),
-                    on_restore=lambda p: self.metrics.record_restore(str(p)),
-                )
-        else:
-            with self._stage("stream") as timer:
-                trace = run_scenario(config, attacks=attacks, taps=[tap])
-        elapsed = timer.elapsed
-
-        ticks = np.asarray(trace.tick_times, dtype=float)
-        labels = np.asarray(trace.window_labels(plan.label_policy), dtype=bool)
-        if warmup > 0:
-            labels = labels[ticks >= warmup]
-        if len(labels) != len(online.scores):
-            # Quarantined / dropped / crashed rows leave fewer scored
-            # windows than trace ticks; ground truth no longer aligns.
-            labels = np.zeros(len(online.scores), dtype=bool)
-        return online.result(labels=labels, elapsed_s=elapsed)
+        return result.streams[f"s0/n{monitor}"]
 
     def fleet_detect(
         self,
@@ -664,7 +596,11 @@ class Session:
         it.  Windows closing on the same tick — across every monitored
         node and every scenario — are scored in one vectorized batch;
         per-stream scores are bit-identical to independent
-        :meth:`stream_detect` runs over the same traces.
+        :meth:`stream_detect` runs over the same traces.  Seeds and
+        monitors are validated before any training: an empty
+        ``seeds`` or ``monitors``, or a monitor that is out of range,
+        listed twice or the plan's attacker, raises
+        :class:`ValueError`.
 
         Per-stream alarms surface as ``"alarm"`` metrics events, fused
         network-level verdicts as ``"fused_alarm"`` events (the CLI
@@ -708,17 +644,63 @@ class Session:
         ``fleet`` stage); durable runs (any of ``checkpoint`` /
         ``resume_from`` / ``stream_faults`` set) record the traces
         through the cache and replay them round-robin (see
-        :func:`~repro.stream.durability.run_durable_fleet`).
-        Ground-truth labels are attached post hoc per scenario under the
-        plan's label policy.
+        :func:`~repro.stream.durability.run_durable_fleet`), because the
+        resume contract is anchored in the replay's deterministic
+        dispatch order.  Ground-truth labels are attached post hoc per
+        scenario under the plan's label policy.
+        """
+        from repro.stream.config import DEFAULT_MAX_FAULTS
+
+        if max_consecutive_faults is None:
+            max_consecutive_faults = DEFAULT_MAX_FAULTS
+        return self._detect_streams(
+            plan, "fleet", True, seeds=seeds, monitors=monitors,
+            attack=attack, warmup=warmup, on_alarm=on_alarm,
+            on_fused=on_fused, checkpoint=checkpoint,
+            checkpoint_every=checkpoint_every, resume_from=resume_from,
+            stream_faults=stream_faults, threshold=threshold, quorum=quorum,
+            classifier=classifier, method=method,
+            false_alarm_rate=false_alarm_rate, max_models=max_models,
+            n_buckets=n_buckets, n_jobs=n_jobs, row_policy=row_policy,
+            attribution=attribution,
+            max_consecutive_faults=max_consecutive_faults,
+            stall_timeout=stall_timeout,
+        )
+
+    def _detect_streams(
+        self,
+        plan: ExperimentPlan,
+        stage: str,
+        fleet_relays: bool,
+        seeds: Sequence[int] | None,
+        monitors: Sequence[int] | None,
+        attack: bool,
+        warmup: float | None,
+        on_alarm: "Callable[[Alarm], None] | None",
+        on_fused: "Callable[[FleetAlarm], None] | None",
+        checkpoint: "str | os.PathLike | None",
+        checkpoint_every: int | None,
+        resume_from: "str | os.PathLike | None",
+        stream_faults: "StreamFaultPlan | str | None",
+        **knobs,
+    ) -> "FleetResult":
+        """The one streaming driver behind :meth:`stream_detect` and
+        :meth:`fleet_detect` (see the latter for the keywords).
+
+        ``stage`` names the timed stage; ``fleet_relays`` wires the
+        ``fused_alarm`` and ``fleet_batch`` metrics relays (a one-lane
+        quorum would only repeat every lane alarm).  ``knobs`` — the
+        threshold, quorum, training, row-policy and attribution
+        keywords — go to :meth:`FleetDetector.from_session` unchanged.
         """
         import numpy as np
 
         from repro.simulation.scenario import run_scenario
-        from repro.stream.config import DEFAULT_MAX_FAULTS
         from repro.stream.durability import run_durable_fleet
         from repro.stream.faults import StreamFaultPlan
         from repro.stream.fleet import FleetDetector
+
+        seeds, monitors = _stream_lanes(plan, seeds, monitors, attack)
 
         def relay_alarm(alarm: "Alarm") -> None:
             label = (
@@ -761,9 +743,6 @@ class Session:
             else:
                 self.metrics.record_lane_sealed(f"{name}: {reason}")
 
-        if seeds is None:
-            seeds = (plan.attack_seeds[0],) if attack else (plan.normal_seeds[0],)
-        seeds = tuple(seeds)
         scenario_names = tuple(f"s{k}" for k in range(len(seeds)))
         warmup = plan.warmup if warmup is None else float(warmup)
         if isinstance(stream_faults, str):
@@ -775,36 +754,16 @@ class Session:
         )
 
         fleet = FleetDetector.from_session(
-            self,
-            plan,
-            monitors=monitors,
-            scenarios=scenario_names,
-            warmup=warmup,
-            threshold=threshold,
-            quorum=quorum,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
-            on_alarm=relay_alarm,
-            on_fused=relay_fused,
-            on_batch=self.metrics.record_fleet_batch,
-            row_policy=row_policy,
-            max_consecutive_faults=(
-                DEFAULT_MAX_FAULTS if max_consecutive_faults is None
-                else max_consecutive_faults
-            ),
-            stall_timeout=stall_timeout,
-            faults=stream_faults,
-            on_fault=relay_fault,
-            on_seal=relay_seal,
-            attribution=attribution,
+            self, plan, monitors=monitors, scenarios=scenario_names,
+            warmup=warmup, on_alarm=relay_alarm,
+            on_fused=relay_fused if fleet_relays else None,
+            on_batch=self.metrics.record_fleet_batch if fleet_relays else None,
+            faults=stream_faults, on_fault=relay_fault, on_seal=relay_seal,
+            **knobs,
         )
 
         attacks = plan.build_attacks() if attack else []
-        labels: dict[str, np.ndarray] = {}
+        truths: dict[str, np.ndarray] = {}
 
         def scenario_truth(trace) -> np.ndarray:
             ticks = np.asarray(trace.tick_times, dtype=float)
@@ -812,11 +771,12 @@ class Session:
             return truth[ticks >= warmup] if warmup > 0 else truth
 
         if durable:
-            traces: dict[str, "SimulationTrace"] = {}
-            for name, seed in zip(scenario_names, seeds):
-                config = plan.scenario_config(seed)
-                traces[name] = self.trace(config, attacks, label=f"fleet[{name}]")
-            with self._stage("fleet") as timer:
+            traces = {
+                name: self.trace(plan.scenario_config(seed), attacks,
+                                 label=f"{stage}[{name}]")
+                for name, seed in zip(scenario_names, seeds)
+            }
+            with self._stage(stage) as timer:
                 run_durable_fleet(
                     traces,
                     fleet,
@@ -827,29 +787,22 @@ class Session:
                     on_checkpoint=lambda r: self.metrics.record_checkpoint(str(r)),
                     on_restore=lambda r: self.metrics.record_restore(str(r)),
                 )
-            for name, trace in traces.items():
-                truth = scenario_truth(trace)
-                for tap in fleet.taps(name):
-                    labels[tap.name] = truth
+            truths = {name: scenario_truth(trace) for name, trace in traces.items()}
         else:
-            with self._stage("fleet") as timer:
+            with self._stage(stage) as timer:
                 for name, seed in zip(scenario_names, seeds):
-                    config = plan.scenario_config(seed)
-                    taps = fleet.taps(name)
-                    trace = run_scenario(config, attacks=attacks, taps=taps)
-                    truth = scenario_truth(trace)
-                    for tap in taps:
-                        labels[tap.name] = truth
+                    trace = run_scenario(plan.scenario_config(seed),
+                                         attacks=attacks, taps=fleet.taps(name))
+                    truths[name] = scenario_truth(trace)
                 fleet.finish()
-        elapsed = timer.elapsed
         # Lanes that crashed, were sealed or quarantined rows hold fewer
         # scored windows than trace ticks; drop misaligned ground truth.
-        for name, lane_labels in list(labels.items()):
-            stream_result = fleet._lanes.get(name)
-            if stream_result is not None and \
-                    len(lane_labels) != len(stream_result.scores):
-                del labels[name]
-        return fleet.result(labels=labels, elapsed_s=elapsed)
+        labels = {
+            tap.name: truths[name]
+            for name in scenario_names for tap in fleet.taps(name)
+            if len(truths[name]) == len(fleet._lanes[tap.name].scores)
+        }
+        return fleet.result(labels=labels, elapsed_s=timer.elapsed)
 
     def sweep(
         self,

@@ -6,10 +6,12 @@ analysis *while the node is being watched*: a
 closes one feature window per sampling tick (ring buffers over the
 multi-period Table 5 grid — O(1) amortised per window), and an
 :class:`OnlineDetector` scores each window as it closes, emitting typed
-:class:`Alarm` events with latency accounting.  With ``attribution`` on,
-each alarm additionally carries a :class:`~repro.attribution.Verdict` —
-anomaly class, culprit features, estimated onset — computed strictly
-after scoring, so scores and alarm decisions stay bit-identical.
+:class:`Alarm` events with latency accounting.  The online detector is
+a one-lane :class:`FleetDetector` — the fleet is the one streaming
+engine.  With ``attribution`` on, each alarm additionally carries a
+:class:`~repro.attribution.Verdict` — anomaly class, culprit features,
+estimated onset — computed strictly after scoring, so scores and alarm
+decisions stay bit-identical.
 
 At fleet scale, a :class:`FleetDetector` multiplexes N extractor streams
 (one per monitored node, across one or many scenarios) into a single
@@ -22,8 +24,8 @@ policy, and every construction surface shares the keywords documented in
 The contract: for any scenario, the streamed per-window feature rows and
 scores are **bit-identical** to the batch
 ``extract_features`` → ``CrossFeatureModel.normality_score`` path over
-the completed trace — and a fleet run is bit-identical to N independent
-:class:`OnlineDetector` runs (asserted end to end by ``tests/stream/``).
+the completed trace, whether a window is scored alone or in a fleet's
+tick bucket (asserted end to end by ``tests/stream/``).
 
 Long-lived runs are *durable*: the full streaming state checkpoints to a
 fingerprinted file (:mod:`repro.stream.durability`) and a run killed at

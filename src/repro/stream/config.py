@@ -34,14 +34,19 @@ asserts the symmetry by introspection):
     What to do with degraded input rows (late / duplicate / NaN-bearing /
     out-of-range).  ``"strict"`` (:data:`DEFAULT_ROW_POLICY`) keeps the
     historical contract: trust the extractor, raise on protocol
-    violations.  ``"quarantine"`` routes bad rows to a typed
-    :class:`~repro.stream.faults.StreamFault` record instead of raising;
-    detection continues on the surviving rows.  Session methods default
-    to ``None`` = the shared default.
+    violations — a row at or before the last finalised (scored) tick
+    raises :class:`ValueError`, on a fleet lane and on an
+    :class:`~repro.stream.detector.OnlineDetector` alike (the
+    extractor never emits one).  ``"quarantine"`` routes bad rows to a
+    typed :class:`~repro.stream.faults.StreamFault` record instead of
+    raising; detection continues on the surviving rows.  Session
+    methods default to ``None`` = the shared default.
 ``max_consecutive_faults`` : int
     Quarantine-mode circuit breaker (:data:`DEFAULT_MAX_FAULTS`): a
     fleet lane exceeding this many *consecutive* quarantined rows is
-    auto-sealed with reason ``"faulted"``.
+    auto-sealed with reason ``"faulted"``.  Fleet lanes only: a single
+    stream (``OnlineDetector``, ``Session.stream_detect``) has no
+    breaker.
 ``attribution`` : bool
     Attach a typed :class:`~repro.attribution.Verdict` to every alarm
     (anomaly class, culprit features, CUSUM onset) and a fused verdict

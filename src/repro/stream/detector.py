@@ -8,6 +8,10 @@ score falls below the threshold — the deployment posture the paper
 frames (an IDS watching a live node), instead of scoring a finished
 trace after the fact.
 
+It is a one-lane :class:`~repro.stream.fleet.FleetDetector`: the fleet
+is the only streaming engine (row policy, scoring, attribution, alarms,
+snapshots), and :meth:`OnlineDetector.consume` seals the lane just past
+each row, so the row scores and its alarm returns inside the call.
 Scoring one row at a time is bit-identical to scoring the batch matrix:
 every step of :meth:`CrossFeatureModel.normality_score` — discretizer
 transform, sub-model tree walk, per-row probability lookup and the
@@ -18,19 +22,16 @@ suite asserts this end to end.
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.attribution import AlarmAttributor, Verdict, resolve_attributor
+from repro.attribution import AlarmAttributor, Verdict
 from repro.core.model import CrossFeatureDetector, CrossFeatureModel
-from repro.stream.config import (
-    DEFAULT_ATTRIBUTION,
-    DEFAULT_ROW_POLICY,
-    validate_row_policy,
-)
+from repro.stream.config import DEFAULT_ATTRIBUTION, DEFAULT_ROW_POLICY
 from repro.stream.extractor import WindowRow
 from repro.stream.faults import StreamFault
 
@@ -51,7 +52,7 @@ class Alarm:
     threshold: float    #: decision threshold in force
     monitor: int        #: observed node
     latency_s: float    #: wall-clock seconds from window close to alarm
-    stream: str = ""    #: fleet lane name ("" outside fleet detection)
+    stream: str = ""    #: lane name ("" on an OnlineDetector)
     verdict: Verdict | None = None  #: typed attribution verdict
 
 
@@ -104,6 +105,10 @@ class StreamResult:
 class OnlineDetector:
     """Consume closed windows, score them, raise alarms.
 
+    A thin wrapper around a private one-lane
+    :class:`~repro.stream.fleet.FleetDetector` (lane ``""``); the
+    read-only attributes below read that lane.
+
     Parameters
     ----------
     model:
@@ -120,17 +125,18 @@ class OnlineDetector:
         Callback invoked with each :class:`Alarm` as it fires.
     row_policy:
         Degraded-input policy (see :mod:`repro.stream.config`):
-        ``"strict"`` trusts the extractor and scores every row as
-        before; ``"quarantine"`` validates each row and routes late,
+        ``"strict"`` trusts the extractor and scores every row, raising
+        :class:`ValueError` only for a row at or before the last scored
+        window; ``"quarantine"`` validates each row and routes late,
         duplicate, NaN-bearing or out-of-range ones to
-        ``fault_records`` instead of scoring them.
+        ``fault_records`` instead of scoring them.  A single stream has
+        no consecutive-fault breaker.
     on_fault:
         Callback invoked with each quarantined
         :class:`~repro.stream.faults.StreamFault`.
     attribution:
-        Attach typed verdicts to alarms: ``True`` builds a default
-        :class:`~repro.attribution.AlarmAttributor` over this model and
-        threshold, or pass a configured attributor.  Runs strictly
+        ``True`` attaches a typed verdict to every alarm (see
+        :class:`~repro.attribution.AlarmAttributor`).  Runs strictly
         after scoring — scores and alarm decisions are bit-identical
         with it on or off.
     """
@@ -144,24 +150,18 @@ class OnlineDetector:
         on_alarm: Callable[[Alarm], None] | None = None,
         row_policy: str = DEFAULT_ROW_POLICY,
         on_fault: Callable[[StreamFault], None] | None = None,
-        attribution: AlarmAttributor | bool = DEFAULT_ATTRIBUTION,
+        attribution: bool = DEFAULT_ATTRIBUTION,
     ):
-        if model.discretizer is None:
-            raise ValueError("model must be fitted before online detection")
-        self.model = model
-        self.threshold = float(threshold)
-        self.method = method
-        self.monitor = monitor
-        self.on_alarm = on_alarm
-        self.row_policy = validate_row_policy(row_policy)
-        self.on_fault = on_fault
-        self.attribution = resolve_attributor(model, self.threshold, attribution)
-        self.times: list[float] = []
-        self.scores: list[float] = []
-        self.latencies: list[float] = []
-        self.alarms: list[Alarm] = []
-        self.fault_records: list[StreamFault] = []
-        self._last_index = -1
+        # Imported here: the fleet module imports Alarm from this one.
+        from repro.stream.fleet import FleetDetector
+
+        self._fleet = FleetDetector(
+            model, threshold, method=method, on_alarm=on_alarm,
+            row_policy=row_policy, max_consecutive_faults=sys.maxsize,
+            on_fault=on_fault, attribution=attribution,
+        )
+        self._fleet.attach("", monitor=monitor)
+        self._lane = self._fleet._lanes[""]
 
     @classmethod
     def from_detector(
@@ -172,7 +172,7 @@ class OnlineDetector:
         on_alarm: Callable[[Alarm], None] | None = None,
         row_policy: str = DEFAULT_ROW_POLICY,
         on_fault: Callable[[StreamFault], None] | None = None,
-        attribution: AlarmAttributor | bool = DEFAULT_ATTRIBUTION,
+        attribution: bool = DEFAULT_ATTRIBUTION,
     ) -> "OnlineDetector":
         """Wrap a fitted batch :class:`CrossFeatureDetector` unchanged.
 
@@ -197,41 +197,54 @@ class OnlineDetector:
 
     # ------------------------------------------------------------------
     @property
+    def times(self) -> list[float]:
+        """Window ends of the scored windows."""
+        return self._lane.times
+
+    @property
+    def scores(self) -> list[float]:
+        """Normality scores of the scored windows."""
+        return self._lane.scores
+
+    @property
+    def alarms(self) -> list[Alarm]:
+        """Alarms raised so far."""
+        return self._lane.alarms
+
+    @property
+    def fault_records(self) -> list[StreamFault]:
+        """Quarantined rows so far (always empty under ``strict``)."""
+        return self._lane.faults
+
+    @property
     def windows(self) -> int:
         """Windows scored so far."""
-        return len(self.scores)
+        return len(self._lane.scores)
 
     @property
     def quarantined(self) -> int:
         """Degraded rows quarantined so far (always 0 under ``strict``)."""
-        return len(self.fault_records)
+        return len(self._lane.faults)
 
-    def _classify_row(self, row: WindowRow) -> tuple[str, str] | None:
-        """The quarantine verdict for a degraded row, or ``None`` if clean."""
-        if np.isnan(row.features).any():
-            return "nan", "row carries NaN features"
-        if np.isinf(row.features).any():
-            return "out_of_range", "row carries non-finite features"
-        if not np.isfinite(row.time) or row.time < 0:
-            return "out_of_range", f"window time {row.time} is not a valid instant"
-        if self.times:
-            if row.time == self.times[-1] and row.index <= self._last_index:
-                return "duplicate", f"window at {row.time} was already scored"
-            if row.time < self.times[-1]:
-                return "late", (
-                    f"window at {row.time} arrived after one at {self.times[-1]}"
-                )
-        return None
+    @property
+    def attribution(self) -> AlarmAttributor | None:
+        """The lane's attributor (``None`` with attribution off)."""
+        return self._fleet._attributors.get("")
 
-    def _quarantine(self, row: WindowRow, kind: str, detail: str) -> StreamFault:
-        """Record one quarantined row and notify the hook."""
-        fault = StreamFault(
-            stream="", kind=kind, index=row.index, time=row.time, detail=detail
-        )
-        self.fault_records.append(fault)
-        if self.on_fault is not None:
-            self.on_fault(fault)
-        return fault
+    @property
+    def monitor(self) -> int:
+        """Node id stamped on emitted alarms."""
+        return self._lane.monitor
+
+    @property
+    def threshold(self) -> float:
+        """Decision threshold in force."""
+        return self._fleet.threshold
+
+    @property
+    def method(self) -> str:
+        """Scoring rule."""
+        return self._fleet.method
 
     def consume(self, row: WindowRow) -> Alarm | None:
         """Score one closed window; return the alarm if one fires.
@@ -240,43 +253,10 @@ class OnlineDetector:
         Under ``row_policy="quarantine"`` a degraded row is recorded on
         ``fault_records`` and *not* scored (returns ``None``).
         """
-        if self.row_policy == "quarantine":
-            verdict = self._classify_row(row)
-            if verdict is not None:
-                self._quarantine(row, *verdict)
-                return None
-        t0 = _time.perf_counter()
-        score = float(
-            self.model.normality_score(row.features[None, :], self.method)[0]
-        )
-        latency = _time.perf_counter() - t0
-        self.times.append(row.time)
-        self.scores.append(score)
-        self.latencies.append(latency)
-        self._last_index = row.index
-        alarming = score < self.threshold
-        verdict = None
-        if self.attribution is not None:
-            # Attribution reads the score and row, never the reverse:
-            # the alarm decision above is already final.
-            verdict = self.attribution.attribute(
-                row.time, score, row.features, alarming
-            )
-        if alarming:
-            alarm = Alarm(
-                index=row.index,
-                time=row.time,
-                score=score,
-                threshold=self.threshold,
-                monitor=self.monitor,
-                latency_s=latency,
-                verdict=verdict,
-            )
-            self.alarms.append(alarm)
-            if self.on_alarm is not None:
-                self.on_alarm(alarm)
-            return alarm
-        return None
+        alarms = len(self._lane.alarms)
+        self._fleet.ingest("", row)
+        self._fleet.seal("", math.nextafter(float(row.time), math.inf))
+        return self._lane.alarms[-1] if len(self._lane.alarms) > alarms else None
 
     def result(
         self,
@@ -284,60 +264,16 @@ class OnlineDetector:
         elapsed_s: float = 0.0,
     ) -> StreamResult:
         """Freeze the run into a :class:`StreamResult`."""
-        latencies = np.asarray(self.latencies, dtype=float)
-        return StreamResult(
-            monitor=self.monitor,
-            threshold=self.threshold,
-            method=self.method,
-            times=np.asarray(self.times, dtype=float),
-            scores=np.asarray(self.scores, dtype=float),
-            labels=(
-                np.asarray(labels, dtype=bool)
-                if labels is not None
-                else np.zeros(len(self.scores), dtype=bool)
-            ),
-            alarms=list(self.alarms),
-            windows=len(self.scores),
-            elapsed_s=elapsed_s,
-            mean_latency_s=float(latencies.mean()) if len(latencies) else 0.0,
-            max_latency_s=float(latencies.max()) if len(latencies) else 0.0,
-        )
+        labels = None if labels is None else {"": labels}
+        return self._fleet.result(labels, elapsed_s).streams[""]
 
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """The detector's mutable run state (scores, alarms, quarantine).
-
-        The model/threshold/method construction knobs are not captured;
-        restore targets a detector built over the same trained model.
-        """
-        state = {
-            "times": list(self.times),
-            "scores": list(self.scores),
-            "latencies": list(self.latencies),
-            "alarms": list(self.alarms),
-            "fault_records": list(self.fault_records),
-            "last_index": self._last_index,
-        }
-        if self.attribution is not None:
-            state["attribution"] = self.attribution.snapshot()
-        return state
+        """The one-lane fleet's :meth:`~FleetDetector.snapshot`."""
+        return self._fleet.snapshot()
 
     def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot`, replacing all current run state.
-
-        Restored alarms and faults do *not* re-fire the ``on_alarm`` /
-        ``on_fault`` hooks — they already fired in the original run.
-        Attribution state (CUSUM statistic, blame/residual history)
-        restores when both sides have attribution; a snapshot from a
-        plain run leaves a fresh attributor empty.
-        """
-        self.times = list(state["times"])
-        self.scores = list(state["scores"])
-        self.latencies = list(state["latencies"])
-        self.alarms = list(state["alarms"])
-        self.fault_records = list(state["fault_records"])
-        self._last_index = state["last_index"]
-        if self.attribution is not None and state.get("attribution") is not None:
-            self.attribution.restore(state["attribution"])
+        """Adopt a :meth:`snapshot`; restored alarms do not re-fire hooks."""
+        self._fleet.restore(state)

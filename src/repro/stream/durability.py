@@ -12,11 +12,16 @@ fused verdicts are ``np.array_equal`` to the uninterrupted run's
 (asserted by ``tests/stream/test_durability.py`` and re-checked
 in-harness by ``repro bench --suite stream-chaos``).
 
-Checkpoint file format (version |version|)::
+Checkpoint file format (version 2)::
 
     REPROCKPT1\\n                                   magic
-    {"version": 1, "kind": "...", "fingerprint": "..."}\\n   header (JSON)
+    {"version": 2, "kind": "...", "fingerprint": "..."}\\n   header (JSON)
     <pickle bytes>                                 body
+
+Version 2 came with the one streaming engine: an
+:class:`~repro.stream.detector.OnlineDetector` snapshot is its one-lane
+fleet's snapshot, so version-1 files fail to load with a
+:class:`CheckpointError` naming the format version.
 
 The header's ``fingerprint`` is the SHA-256 of the body bytes; any
 corruption or truncation fails the restore **loudly** with a
@@ -32,14 +37,19 @@ recorded (cached, deterministic) trace via :mod:`repro.stream.replay`,
 whose merged dispatch order is total-ordered and reproducible — so "N
 merged items dispatched" names the same instant in every replay of the
 same trace, and a checkpoint is just (position, state snapshot).
-Snapshots are taken only right after a dispatched sampling tick (the
-tick rides *pending* in the extractor; nothing is half-applied).
+Both drivers run one round loop over replay cursors
+(:class:`~repro.stream.replay.ReplayCursor`; a single stream is a
+one-cursor run): a round steps every unfinished cursor to and including
+its next sampling tick, or through the trace tail.  Snapshots are taken
+only at round boundaries (a tick rides *pending* in the extractor;
+nothing is half-applied), and the cadence and the chaos kill switch
+both count rounds.
 
 Session knobs (``Session.stream_detect`` / ``fleet_detect``)::
 
     checkpoint=PATH          write snapshots to PATH during the run
-    checkpoint_every=N       snapshot cadence, in sampling ticks
-                             (fleet: round-robin rounds); default
+    checkpoint_every=N       snapshot cadence, in rounds (one sampling
+                             tick per lane); default
                              DEFAULT_CHECKPOINT_EVERY
     resume_from=PATH         restore PATH before replaying the remainder
 """
@@ -50,12 +60,12 @@ import hashlib
 import json
 import pickle
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.runtime.cache import atomic_write_bytes
 from repro.stream.config import DEFAULT_CHECKPOINT_EVERY
 from repro.stream.faults import StreamFaultPlan, apply_checkpoint_fault
-from repro.stream.replay import ReplayCursor, replay_trace
+from repro.stream.replay import ReplayCursor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.scenario import SimulationTrace
@@ -68,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = b"REPROCKPT1\n"
 
 #: Current checkpoint format version (see the module docstring).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -227,18 +237,58 @@ def load_fleet_checkpoint(path: str | Path, fleet: "FleetDetector") -> dict[str,
 # ----------------------------------------------------------------------
 # Durable run drivers
 # ----------------------------------------------------------------------
-class _Killed(Exception):
-    """Internal: the configured kill point was reached (chaos harness)."""
+def _run_rounds(
+    groups: "Iterable[tuple[SimulationTrace, list[tuple[str, object]]]]",
+    load: Callable[[str | Path], dict[str, int]],
+    save: Callable[[str | Path, dict[str, int]], None],
+    checkpoint: str | Path | None,
+    checkpoint_every: int | None,
+    resume_from: str | Path | None,
+    faults: StreamFaultPlan | None,
+    stop_after: int | None,
+    on_checkpoint: Callable[[int], None] | None,
+    on_restore: Callable[[int], None] | None,
+) -> tuple[dict[str, int], bool]:
+    """The one durable round loop: every lane steps one tick per round.
 
-
-def _maybe_damage_checkpoint(
-    path: str | Path, faults: StreamFaultPlan | None, ordinal: int
-) -> None:
-    """Apply a planned ckpt-corrupt / ckpt-truncate fault before a restore."""
-    if faults is not None:
-        spec = faults.checkpoint_fault(ordinal)
+    ``groups`` yields ``(trace, [(lane name, tap), ...])`` and runs one
+    group after another.  ``resume_from`` is first damaged by any
+    planned restore-0 checkpoint fault (the chaos path), then ``load``
+    restores it and returns the per-lane merge positions each cursor
+    resumes from.  ``save(checkpoint, positions)`` runs after every
+    ``checkpoint_every``-th round of this run; ``stop_after`` rounds end
+    the run abruptly, without flushing or checkpointing, as a process
+    kill would.  Returns ``(positions, finished)``.
+    """
+    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
+    if every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+    positions: dict[str, int] = {}
+    if resume_from is not None:
+        spec = faults.checkpoint_fault(0) if faults is not None else None
         if spec is not None:
-            apply_checkpoint_fault(path, spec)
+            apply_checkpoint_fault(resume_from, spec)
+        positions = load(resume_from)
+        if on_restore is not None:
+            on_restore(max(positions.values(), default=0))
+    rounds = 0
+    for trace, taps in groups:
+        cursors = {
+            name: ReplayCursor(trace, tap, skip=positions.get(name, 0))
+            for name, tap in taps
+        }
+        while not all(cursor.done for cursor in cursors.values()):
+            for name, cursor in cursors.items():
+                cursor.step_tick()
+                positions[name] = cursor.position
+            rounds += 1
+            if checkpoint is not None and rounds % every == 0:
+                save(checkpoint, positions)
+                if on_checkpoint is not None:
+                    on_checkpoint(rounds)
+            if stop_after is not None and rounds >= stop_after:
+                return positions, False
+    return positions, True
 
 
 def run_durable_stream(
@@ -257,46 +307,28 @@ def run_durable_stream(
     """Drive one durable single-stream run over a recorded trace.
 
     Replays ``trace`` through ``tap`` (whose ``on_row`` feeds
-    ``detector``, optionally through ``injector``), snapshotting to
-    ``checkpoint`` after every ``checkpoint_every``-th dispatched
-    sampling tick.  ``resume_from`` restores a prior snapshot first
-    (applying any planned checkpoint-file fault for restore ordinal 0 —
-    the chaos path) and skips the already-applied prefix.
+    ``detector``, optionally through ``injector``) as the single lane of
+    the fleet's round loop — one round per sampling tick, plus a last
+    one for the trace tail — snapshotting to ``checkpoint`` after every
+    ``checkpoint_every``-th round (``on_checkpoint`` gets the round
+    count).  ``resume_from`` restores a prior snapshot first (applying
+    any planned checkpoint-file fault for restore ordinal 0 — the chaos
+    path) and skips the already-applied prefix.
 
     ``stop_after_ticks`` is the chaos harness's kill switch: stop
-    abruptly — **without** flushing or checkpointing — after that many
-    ticks of *this* run, as a process kill would.  Returns
+    abruptly after that many rounds of *this* run.  Returns
     ``(position, finished)``.
     """
-    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
-    if every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
-    skip = 0
-    if resume_from is not None:
-        _maybe_damage_checkpoint(resume_from, faults, 0)
-        skip = load_stream_checkpoint(resume_from, tap, detector, injector)
-        if on_restore is not None:
-            on_restore(skip)
-
-    ticks = 0
-
-    def handle_tick(position: int) -> None:
-        nonlocal ticks
-        ticks += 1
-        if checkpoint is not None and ticks % every == 0:
-            save_stream_checkpoint(checkpoint, position, tap, detector, injector)
-            if on_checkpoint is not None:
-                on_checkpoint(position)
-        if stop_after_ticks is not None and ticks >= stop_after_ticks:
-            raise _Killed(position)
-
-    try:
-        position = replay_trace(trace, tap, skip=skip, on_tick=handle_tick)
-    except _Killed as killed:
-        return int(killed.args[0]), False
-    if injector is not None:
+    positions, finished = _run_rounds(
+        [(trace, [("", tap)])],
+        lambda path: {"": load_stream_checkpoint(path, tap, detector, injector)},
+        lambda path, p: save_stream_checkpoint(path, p[""], tap, detector, injector),
+        checkpoint, checkpoint_every, resume_from, faults, stop_after_ticks,
+        on_checkpoint, on_restore,
+    )
+    if finished and injector is not None:
         injector.flush()  # release a still-held delayed row at stream end
-    return position, True
+    return positions[""], finished
 
 
 def run_durable_fleet(
@@ -324,33 +356,16 @@ def run_durable_fleet(
     after that many rounds of *this* run (chaos harness).  Returns
     ``(per-lane positions, finished)``.
     """
-    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
-    if every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
-    positions: dict[str, int] = {}
-    if resume_from is not None:
-        _maybe_damage_checkpoint(resume_from, faults, 0)
-        positions = load_fleet_checkpoint(resume_from, fleet)
-        if on_restore is not None:
-            on_restore(max(positions.values(), default=0))
-
-    rounds = 0
-    for scenario, trace in traces.items():
-        cursors = [
-            (tap, ReplayCursor(trace, tap, skip=positions.get(tap.name, 0)))
-            for tap in fleet.taps(scenario)
-        ]
-        while any(not cursor.done for _, cursor in cursors):
-            for tap, cursor in cursors:
-                if not cursor.done:
-                    cursor.step_tick()
-                    positions[tap.name] = cursor.position
-            rounds += 1
-            if checkpoint is not None and rounds % every == 0:
-                save_fleet_checkpoint(checkpoint, positions, fleet)
-                if on_checkpoint is not None:
-                    on_checkpoint(rounds)
-            if stop_after_rounds is not None and rounds >= stop_after_rounds:
-                return positions, False
-    fleet.finish()
-    return positions, True
+    positions, finished = _run_rounds(
+        (
+            (trace, [(tap.name, tap) for tap in fleet.taps(scenario)])
+            for scenario, trace in traces.items()
+        ),
+        lambda path: load_fleet_checkpoint(path, fleet),
+        lambda path, p: save_fleet_checkpoint(path, p, fleet),
+        checkpoint, checkpoint_every, resume_from, faults, stop_after_rounds,
+        on_checkpoint, on_restore,
+    )
+    if finished:
+        fleet.finish()
+    return positions, finished

@@ -214,7 +214,8 @@ class RowFaultInjector:
     Sits between a :class:`~repro.stream.extractor.StreamingExtractor`'s
     ``on_row`` and the detector: transforms each emitted row per the
     plan (drop / duplicate / delay / corrupt), and swallows everything
-    once the lane's crash point is reached.  Stateful (the held delayed
+    once ``crashed`` is set — the owning fleet lane sets it when the
+    plan's ``crash-lane`` tick is reached.  Stateful (the held delayed
     row, the crashed flag), and checkpointable via :meth:`snapshot` /
     :meth:`restore` so faults replay identically across a resume.
     """
@@ -224,25 +225,16 @@ class RowFaultInjector:
         plan: StreamFaultPlan,
         lane: str,
         deliver: Callable[[WindowRow], None],
-        crash_on_row: bool = True,
     ):
         self.plan = plan
         self.lane = lane
         self.deliver = deliver
-        #: Whether ``crash-lane`` specs key on the emitted row index here
-        #: (single-stream use).  Fleet lanes key crashes on the sampling
-        #: tick instead and set ``crashed`` from the tap.
-        self.crash_on_row = crash_on_row
         self.crashed = False
         self._held: WindowRow | None = None
 
     def __call__(self, row: WindowRow) -> None:
         """Deliver one emitted row through the fault plan."""
-        if self.crashed or (
-            self.crash_on_row and self.plan.lane_crash(self.lane, row.index)
-        ):
-            self.crashed = True
-            self._held = None
+        if self.crashed:
             return
         spec = self.plan.row_fault(self.lane, row.index)
         kind = spec.kind if spec is not None else None

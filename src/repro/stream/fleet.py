@@ -13,9 +13,11 @@ Correctness rests on the PR 4 streaming contract: every step of
 ``normality_score`` (discretizer transform, frontier-batched tree walk,
 per-row probability pooling) treats rows independently, so scoring the
 ``(N, L)`` tick bucket is bit-identical to N independent ``(1, L)``
-calls — a fleet run reproduces N independent :class:`OnlineDetector`
-runs exactly (asserted by ``tests/stream/test_fleet_equivalence.py`` and
-in the bench harness).
+calls — a fleet run reproduces N independent one-lane runs exactly, and
+both reproduce the batch pipeline's scores (asserted by
+``tests/stream/test_fleet_equivalence.py`` and in the bench harness).
+The fleet is the only streaming engine: an :class:`OnlineDetector` is a
+one-lane fleet sealed just past each row.
 
 Mechanics
 ---------
@@ -659,7 +661,6 @@ class FleetDetector:
                 self._fault_plan,
                 lane.name,
                 deliver=lambda row, _lane=lane: self._admit(_lane, row),
-                crash_on_row=False,
             )
 
     def _deliver(self, lane: _Lane, row: WindowRow) -> None:
@@ -681,13 +682,13 @@ class FleetDetector:
             return "out_of_range", "row carries non-finite features"
         if not np.isfinite(t) or t < 0:
             return "out_of_range", f"window time {t} is not a valid instant"
+        if t == lane.last_time and row.index == lane.last_index:
+            return "duplicate", f"window {row.index} at {t} was already delivered"
         if t <= self._finalized_through:
             return "late", (
                 f"window at {t} arrived after its tick was finalised "
                 f"(watermark {self._finalized_through})"
             )
-        if t == lane.last_time and row.index == lane.last_index:
-            return "duplicate", f"window {row.index} at {t} was already delivered"
         return None
 
     def _quarantine(self, lane: _Lane, row: WindowRow, kind: str, detail: str) -> None:

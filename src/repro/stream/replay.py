@@ -21,7 +21,7 @@ skip exactly N on resume.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.simulation.packet import Direction, PacketType
 from repro.simulation.scenario import SimulationTrace
@@ -61,69 +61,36 @@ def _event_feed(trace: SimulationTrace, monitor: int) -> Iterator[tuple]:
     return heapq.merge(*feeds)
 
 
-def replay_trace(
-    trace: SimulationTrace,
-    tap,
-    skip: int = 0,
-    on_tick: Callable[[int], None] | None = None,
-) -> int:
+def replay_trace(trace: SimulationTrace, tap, skip: int = 0) -> int:
     """Drive one window tap with a recorded trace, live-order faithful.
 
     ``tap`` follows the scenario tap protocol (``monitor``, ``on_tick``,
     ``finish`` and the ``NodeStats`` listener methods); it is fed
     directly — no ``bind`` — so the same tap class serves both live runs
-    and replays.
-
-    Durability hooks: ``skip`` fast-forwards past the first N merged
-    items without dispatching them (resuming a checkpointed run whose
-    state already reflects them); ``on_tick(position)`` fires after each
-    dispatched sampling tick with the absolute merge position — a safe
-    checkpoint instant, because the tick is pending in the extractor and
-    nothing is half-applied.  Returns the final merge position.
+    and replays.  ``skip`` fast-forwards past the first N merged items
+    without dispatching them (see :class:`ReplayCursor`, which this
+    drives to the end).  Returns the final merge position.
     """
-    monitor = tap.monitor
-    if not 0 <= monitor < trace.n_nodes:
-        raise ValueError(f"tap monitor {monitor} out of range")
-    if skip < 0:
-        raise ValueError(f"skip must be >= 0, got {skip}")
-    ticks = [
-        (t, _TICK, i, "tick", speeds[monitor])
-        for i, (t, speeds) in enumerate(zip(trace.tick_times, trace.speeds))
-    ]
-    merged = heapq.merge(_event_feed(trace, monitor), ticks)
-    position = 0
-    while position < skip and next(merged, None) is not None:
-        position += 1
-    for time, _rank, _seq, kind, payload in merged:
-        if kind == "packet":
-            tap.on_packet(time, *payload)
-        elif kind == "route":
-            tap.on_route_event(time, payload)
-        elif kind == "length":
-            tap.on_route_length(time, payload)
-        else:
-            tap.on_tick(time, payload)
-        position += 1
-        if kind == "tick" and on_tick is not None:
-            on_tick(position)
-    tap.finish()
-    return position
+    cursor = ReplayCursor(trace, tap, skip=skip)
+    while cursor.step_tick():
+        pass
+    return cursor.position
 
 
 class ReplayCursor:
-    """An incremental :func:`replay_trace`: one tick segment per step.
+    """One lane's merged feed, dispatched one tick segment per step.
 
-    Durable *fleet* replay needs all lanes advancing together — a lane
-    replayed to completion while its peers sit at time zero would look
-    stalled to the fleet's liveness policy and wedge the watermark.  A
-    cursor holds one lane's merged feed open so a driver can round-robin
-    them: each :meth:`step_tick` dispatches merged items up to and
-    including the next sampling tick (or the end of the trace, when it
-    calls ``tap.finish()`` and marks the cursor done).
+    :func:`replay_trace` drives one cursor to the end; the durable
+    drivers step several in rounds, because durable *fleet* replay needs
+    all lanes advancing together — a lane replayed to completion while
+    its peers sit at time zero would look stalled to the fleet's
+    liveness policy and wedge the watermark.  Each :meth:`step_tick`
+    dispatches merged items up to and including the next sampling tick
+    (or the end of the trace, when it calls ``tap.finish()`` and marks
+    the cursor done).
 
-    ``skip`` fast-forwards past already-applied items on resume, exactly
-    as in :func:`replay_trace`; ``position`` is the same absolute merge
-    position, so the two are checkpoint-compatible.
+    ``skip`` fast-forwards past already-applied items on resume;
+    ``position`` is the absolute merge position a checkpoint records.
     """
 
     def __init__(self, trace: SimulationTrace, tap, skip: int = 0):
@@ -152,18 +119,19 @@ class ReplayCursor:
         """
         if self.done:
             return False
+        tap = self.tap
         for time, _rank, _seq, kind, payload in self._merged:
             if kind == "packet":
-                self.tap.on_packet(time, *payload)
+                tap.on_packet(time, *payload)
             elif kind == "route":
-                self.tap.on_route_event(time, payload)
+                tap.on_route_event(time, payload)
             elif kind == "length":
-                self.tap.on_route_length(time, payload)
+                tap.on_route_length(time, payload)
             else:
-                self.tap.on_tick(time, payload)
+                tap.on_tick(time, payload)
             self.position += 1
             if kind == "tick":
                 return True
         self.done = True
-        self.tap.finish()
+        tap.finish()
         return False

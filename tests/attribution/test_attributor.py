@@ -8,7 +8,6 @@ from repro.attribution import (
     AnomalyType,
     Verdict,
     fuse_verdicts,
-    resolve_attributor,
 )
 from repro.attribution.taxonomy import ANOMALY_TYPES, UNKNOWN
 from repro.core.model import CrossFeatureModel
@@ -148,21 +147,6 @@ class TestDurability:
         attributor.attribute(5.0, 0.1, BROKEN, alarming=True)
         state = attributor.snapshot()
         assert json.loads(json.dumps(state)) == state
-
-
-class TestResolve:
-    def test_false_and_none_disable(self, model):
-        assert resolve_attributor(model, 0.5, False) is None
-        assert resolve_attributor(model, 0.5, None) is None
-
-    def test_true_builds_default(self, model):
-        attributor = resolve_attributor(model, 0.5, True)
-        assert isinstance(attributor, AlarmAttributor)
-        assert attributor.threshold == 0.5
-
-    def test_instance_passes_through(self, model):
-        custom = make(model, top_k=3)
-        assert resolve_attributor(model, 0.5, custom) is custom
 
 
 def verdict(atype, match=0.5, features=("a", "b"), targets=(0, 1),

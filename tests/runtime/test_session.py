@@ -259,3 +259,40 @@ class TestJournal:
         assert session.journal is None
         session.bundle(TINY_PLAN)
         assert not (tmp_path / "sweep.journal").exists()
+
+
+class TestStreamLaneValidation:
+    """Bad lane lists fail with the culprit named, before any training
+    or simulation."""
+
+    PLAN = ExperimentPlan(
+        n_nodes=6, duration=120.0, max_connections=5,
+        train_seeds=(1,), calibration_seed=2,
+        normal_seeds=(3,), attack_seeds=(4,), warmup=20.0,
+    )
+
+    def rejects(self, match, detect="fleet_detect", **kwargs):
+        session = Session(cache=False)
+        with pytest.raises(ValueError, match=match):
+            getattr(session, detect)(self.PLAN, **kwargs)
+        assert session.metrics.simulations == 0
+        assert "fit" not in session.metrics.stage_seconds
+
+    def test_empty_monitors_rejected(self):
+        self.rejects("monitors is empty", monitors=())
+
+    def test_out_of_range_monitor_rejected(self):
+        self.rejects("monitor 6 is out of range", monitors=(0, 6))
+
+    def test_duplicate_monitor_rejected(self):
+        self.rejects("monitor 2 is listed twice", monitors=(2, 1, 2))
+
+    def test_attacker_monitor_rejected(self):
+        self.rejects("monitor 5 must differ from the attacker", monitors=(0, 5))
+
+    def test_empty_seeds_rejected(self):
+        self.rejects("seeds is empty", seeds=())
+
+    def test_stream_detect_rejects_the_attacker(self):
+        self.rejects("monitor 5 must differ from the attacker",
+                     detect="stream_detect", monitor=5)

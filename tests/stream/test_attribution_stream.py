@@ -88,7 +88,7 @@ class TestOnlineCheckpoint:
         for row in rows[:cut]:
             live.consume(row)
         state = live.snapshot()
-        assert "attribution" in state
+        assert state["lanes"][""]["attributor"] is not None
 
         fresh = OnlineDetector(model, threshold, attribution=True)
         fresh.restore(state)
@@ -115,12 +115,12 @@ class TestOnlineCheckpoint:
         assert [a.verdict for a in resumed.alarms] == [a.verdict for a in clean.alarms]
 
     def test_pre_attribution_snapshot_still_restores(self, model, threshold):
-        """A checkpoint written before this PR has no attribution key;
-        restoring it into an attribution-enabled detector must work."""
+        """A plain run's snapshot carries no attributor state; restoring
+        it into an attribution-enabled detector must work."""
         rows = mixed_rows()
         plain = run_online(model, threshold, rows[:10], attribution=False)
         state = plain.snapshot()
-        assert "attribution" not in state
+        assert state["lanes"][""]["attributor"] is None
         fresh = OnlineDetector(model, threshold, attribution=True)
         fresh.restore(state)  # no KeyError; attributor simply starts empty
         assert fresh.attribution.verdicts == 0

@@ -14,6 +14,10 @@ Two layers of guarantees are drilled here:
   for fleets with injected chaos.
 """
 
+import hashlib
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,6 +117,21 @@ class TestCheckpointFormat:
         path.write_bytes(MAGIC + header.encode() + b"\nbody")
         with pytest.raises(CheckpointError, match="format version"):
             read_checkpoint(path, "stream")
+
+    def test_version_1_checkpoint_fails_loudly(self, trace, tmp_path):
+        """Version 2 made a single-stream snapshot the one-lane fleet's;
+        a version-1 file must not restore."""
+        path = tmp_path / "v1.ckpt"
+        payload = pickle.dumps({"position": 0, "detector": {"times": []}})
+        header = json.dumps({
+            "version": 1, "kind": "stream",
+            "fingerprint": hashlib.sha256(payload).hexdigest(),
+        })
+        path.write_bytes(MAGIC + header.encode() + b"\n" + payload)
+        online = OnlineDetector(MODEL, 0.5)
+        tap = extractor_for_config(trace.config, on_row=online.consume)
+        with pytest.raises(CheckpointError, match="format version 1"):
+            load_stream_checkpoint(path, tap, online)
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -297,6 +316,27 @@ class TestFleetResume:
         assert resumed.sealed == uninterrupted.sealed
         assert resumed.fault_records == uninterrupted.fault_records
 
+    def test_uninterrupted_chaos_outcome_is_pinned(self, trace, threshold):
+        """The exact damage accounting of the CHAOS fleet.  The stand-in
+        model scores by the first feature, so no numpy reduction (and no
+        numpy version) moves these values."""
+        fleet = make_fleet(trace, threshold, CHAOS)
+        _, finished = run_durable_fleet({"s0": trace}, fleet)
+        assert finished
+        result = fleet.result()
+        assert [(f.stream, f.kind, f.index, f.time)
+                for f in result.fault_records] == [
+            ("s0/n2", "nan", 3, 20.0), ("s0/n2", "duplicate", 6, 35.0),
+        ]
+        assert result.sealed == {"s0/n1": "stalled"}
+        assert {name: s.windows for name, s in result.streams.items()} == {
+            "s0/n0": 40, "s0/n1": 4, "s0/n2": 39, "s0/n3": 39,
+        }
+        assert {name: len(s.alarms) for name, s in result.streams.items()} == {
+            "s0/n0": 4, "s0/n1": 4, "s0/n2": 28, "s0/n3": 21,
+        }
+        assert len(result.fused) == 40 and result.batches == 40
+
     def test_untouched_lane_matches_fault_free_fleet(self, trace, threshold):
         clean = make_fleet(trace, threshold)
         run_durable_fleet({"s0": trace}, clean)
@@ -350,6 +390,25 @@ class TestSessionDurable:
         from repro.runtime import Session
 
         return Session(cache=False)
+
+    def test_stream_detect_records_the_stream_stage_only(self, plan):
+        from repro.runtime import RuntimeMetrics, Session
+
+        solo = Session(cache=False, metrics=RuntimeMetrics())
+        result = solo.stream_detect(plan)
+        m = solo.metrics
+        assert "stream" in m.stage_seconds and "fleet" not in m.stage_seconds
+        assert m.fused_alarms == 0 and m.fleet_batches == 0
+        assert m.alarms == len(result.alarms)
+
+    def test_stream_detect_runs_lane_s0_n_monitor(self, plan, session):
+        clean = session.stream_detect(plan)
+        assert clean.alarms
+        assert {a.stream for a in clean.alarms} == {f"s0/n{plan.monitor}"}
+        dropped = session.stream_detect(
+            plan, stream_faults=f"drop-row:s0/n{plan.monitor}:3"
+        )
+        assert clean.windows - dropped.windows == 1
 
     def test_durable_stream_detect_matches_live(self, plan, session, tmp_path):
         live = session.stream_detect(plan)

@@ -84,6 +84,16 @@ class TestOnlineQuarantine:
         det.consume(nan_row(1, 10.0))  # strict trusts the extractor
         assert det.windows == 2 and det.quarantined == 0
 
+    def test_strict_rejects_a_row_at_or_before_the_last_scored(self):
+        det = OnlineDetector(MODEL, 0.5)
+        det.consume(row(0, 5.0))
+        det.consume(row(1, 10.0))
+        with pytest.raises(ValueError, match=r"finalised \(watermark 10\.0\)"):
+            det.consume(row(2, 10.0))
+        with pytest.raises(ValueError, match=r"finalised \(watermark 10\.0\)"):
+            det.consume(row(2, 7.0))
+        assert det.windows == 2
+
     def test_nan_row_quarantined_not_scored(self):
         faults = []
         det = OnlineDetector(MODEL, 0.5, row_policy="quarantine",
@@ -102,6 +112,13 @@ class TestOnlineQuarantine:
         det.consume(row(2, 7.0))    # time went backwards: late
         assert det.windows == 2
         assert [f.kind for f in det.fault_records] == ["duplicate", "late"]
+
+    def test_single_stream_has_no_fault_breaker(self):
+        det = OnlineDetector(MODEL, 0.5, row_policy="quarantine")
+        for k in range(8):  # well past DEFAULT_MAX_FAULTS in a row
+            det.consume(nan_row(k, 5.0 * (k + 1)))
+        det.consume(row(8, 45.0))
+        assert det.windows == 1 and det.quarantined == 8
 
     def test_out_of_range_rows_quarantined(self):
         det = OnlineDetector(MODEL, 0.5, row_policy="quarantine")
@@ -324,9 +341,20 @@ class TestRowFaultInjector:
         assert [r.index for r in out] == [0, 1]
 
     def test_crash_swallows_rest(self):
+        delivered = []
+        injector = RowFaultInjector(
+            StreamFaultPlan.parse("crash-lane:L:2"), "L",
+            deliver=delivered.append,
+        )
         rows = [row(i, 5.0 * (i + 1)) for i in range(5)]
-        out = self.run_injector("crash-lane:L:2", rows)
-        assert [r.index for r in out] == [0, 1]
+        for r in rows[:2]:
+            injector(r)
+        # The owning fleet lane sets the flag at its crash tick.
+        injector.restore({"crashed": True, "held": None})
+        for r in rows[2:]:
+            injector(r)
+        injector.flush()
+        assert [r.index for r in delivered] == [0, 1]
 
     def test_corrupt_row_transform_is_nan_in_feature_zero(self):
         r = corrupt_row(row(0, 5.0))
