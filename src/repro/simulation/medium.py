@@ -36,14 +36,14 @@ mobility, which consumes shared-RNG waypoint draws — is replayed by
 bit-identical.
 
 Broadcast delivery folds a transmission's whole fan-out into one kernel
-:class:`~repro.simulation.engine.MacroEvent` (see DESIGN.md §Event kernel):
-all loss and jitter draws happen in a single pass in ascending receiver
-order, one engine seq is reserved per surviving receiver (the seqs one
-event per receiver would have allocated), arrivals are sorted, and each
-entry carries the receiver's pre-bound protocol handler so the kernel
-dispatches deliveries inline for as long as the batch's next entry is
-globally next in ``(time, seq)`` order — parking the batch back in the
-queue whenever any other event interleaves.
+delivery batch (:meth:`~repro.simulation.engine.Simulator.schedule_batch`,
+see DESIGN.md §Event kernel): all loss and jitter draws happen in a single
+pass in ascending receiver order, one engine seq is reserved per surviving
+receiver (the seqs one event per receiver would have allocated), arrivals
+are sorted, and each entry carries the receiver's pre-bound protocol
+handler so the kernel dispatches deliveries inline for as long as the
+batch's next entry is globally next in ``(time, seq)`` order — pushing the
+batch back on the queue whenever any other event interleaves.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class WirelessMedium:
         (default) uses it from ``SMALL_N_CUTOFF`` nodes up; an explicit
         ``True`` / ``False`` forces the choice.  Traces are bit-identical
         either way.
-    rebuild_quantum:
-        Index snapshot lifetime, forwarded to
-        :class:`~repro.simulation.spatial.SpatialNeighborIndex`.
     """
 
     def __init__(
@@ -112,7 +109,6 @@ class WirelessMedium:
         max_queue_delay: float = 0.5,
         retry_delay: float = 0.05,
         use_index: bool | None = None,
-        rebuild_quantum: float = 0.25,
     ):
         self.sim = sim
         self.mobility = mobility
@@ -129,9 +125,7 @@ class WirelessMedium:
         if use_index is None:
             use_index = mobility.n_nodes >= SMALL_N_CUTOFF
         self.index: SpatialNeighborIndex | None = (
-            SpatialNeighborIndex(mobility, tx_range, rebuild_quantum=rebuild_quantum)
-            if use_index
-            else None
+            SpatialNeighborIndex(mobility, tx_range) if use_index else None
         )
         # Per-node dispatch tables: medium delivery jumps straight to the
         # routing protocol's handler once one is installed (see
@@ -276,13 +270,11 @@ class WirelessMedium:
         start = self._acquire_transmitter(sender, tx_time)
         if start is None:
             return False
-        self.sim.schedule_transient_at(
-            start + tx_time, self._fan_out, sender, packet
-        )
+        self.sim.schedule_at(start + tx_time, self._fan_out, sender, packet)
         return True
 
     def _fan_out(self, sender: int, packet: Packet) -> None:
-        """Macro-event fan-out: all draws in one pass, one queued event.
+        """Batched fan-out: all draws in one pass, one queued batch.
 
         Per receiver, in ascending id order: an optional loss draw, then a
         jitter draw (``now + 0.002 * random()``, bit-identical to
@@ -291,7 +283,7 @@ class WirelessMedium:
         receiver would consume — so the batch entries carry the same global
         ``(time, seq)`` keys either way.  Entries hold the receiver's
         pre-bound handler; the kernel dispatches them (see
-        ``Simulator._run_loop``).
+        :meth:`Simulator.schedule_batch`).
         """
         receivers = self.neighbors(sender)
         if not receivers:
@@ -307,34 +299,29 @@ class WirelessMedium:
         handlers = self._typed_rows.get(ptype)
         if handlers is None:
             handlers = self._typed_row(ptype)
-        batch = sim.alloc_macro()
-        entries = batch.entries
         seq = sim._seq
         if loss:
+            entries = []
             for receiver in receivers:
                 if rng_random() < loss:
                     continue
                 entries.append((now + 0.002 * rng_random(), seq, handlers[receiver]))
                 seq += 1
             sim._seq = seq
+            if not entries:
+                return
         else:
             # Lossless fast form: the comprehension draws one jitter per
             # receiver in the same ascending order as the loop above.
-            entries += [
+            entries = [
                 (now + 0.002 * rng_random(), s, handlers[receiver])
                 for s, receiver in enumerate(receivers, seq)
             ]
             sim._seq = seq + len(receivers)
-        if not entries:
-            sim._macro_pool.append(batch)
-            return
         # Counted at fan-out (diagnostic only): every entry is a delivery.
         self.delivered += len(entries)
         entries.sort()
-        batch.cursor = 0
-        batch.shared_args = (packet, sender)
-        head = entries[0]
-        sim._requeue(head[0], head[1], batch)
+        sim.schedule_batch(entries, packet, sender)
 
     def unicast(
         self,
@@ -356,7 +343,7 @@ class WirelessMedium:
         start = self._acquire_transmitter(sender, tx_time)
         if start is None:
             return False
-        self.sim.schedule_transient_at(
+        self.sim.schedule_at(
             start + tx_time, self._deliver_unicast, sender, packet, next_hop, on_fail
         )
         return True
@@ -376,7 +363,7 @@ class WirelessMedium:
         )
         if ok:
             # Bit-identical jitter: uniform(0, b) == b * random().
-            self.sim.schedule_transient(
+            self.sim.schedule(
                 0.001 * rng.random(), self._hand_off, next_hop, packet, sender
             )
             self._deliver_taps(sender, packet, next_hop, rng)
@@ -394,45 +381,42 @@ class WirelessMedium:
         (sender first, then ascending ids), keeping traces bit-identical.
         When listeners exist, only *their* distances are tested
         (ascending id order, the same order the naive neighbor sweep
-        would visit them in).
+        would visit them in).  Either way one loop schedules the
+        listeners' overhear handlers, one jitter draw each.
         """
         ids = self._promiscuous_ids
         if ids.size and not self._index_usable():
             # No index (below the cutoff, or a partial stack): full
             # neighbor sweep.
-            for bystander in self.neighbors(sender):
-                if bystander == next_hop:
-                    continue
-                node = self.nodes[bystander]
-                if node.promiscuous:
-                    self.sim.schedule(
-                        rng.uniform(0.0, 0.001), node.on_overhear, packet, sender
-                    )
-            return
-        t = self.sim.now
-        mobility = self.mobility
-        # Draw-order parity with the naive sweep: sender first, then all.
-        x, y = mobility.position(sender, t)
-        mobility.advance_all(t, len(self.nodes))
-        if ids.size == 0:
-            return
-        # Prune listeners to the grid block around the sender (a strict
-        # superset of the in-range set — DSR marks *every* node
-        # promiscuous, so this is what keeps taps sub-O(N)).
-        block = self.index.candidates_near(x, y, t)
-        if block.size < ids.size:
-            ids = np.intersect1d(ids, block, assume_unique=True)
-        ids = ids[(ids != sender) & (ids != next_hop)]
-        if ids.size == 0:
-            return
-        # Ascending order, exact unit-disc decisions — identical to the
-        # naive sweep's visit order and predicate.
+            nodes = self.nodes
+            bystanders = [
+                b for b in self.neighbors(sender)
+                if b != next_hop and nodes[b].promiscuous
+            ]
+        else:
+            t = self.sim.now
+            mobility = self.mobility
+            # Draw-order parity with the naive sweep: sender first, then all.
+            x, y = mobility.position(sender, t)
+            mobility.advance_all(t, len(self.nodes))
+            if ids.size == 0:
+                return
+            # Prune listeners to the grid block around the sender (a strict
+            # superset of the in-range set — DSR marks *every* node
+            # promiscuous, so this is what keeps taps sub-O(N)).
+            block = self.index.candidates_near(x, y, t)
+            if block.size < ids.size:
+                ids = np.intersect1d(ids, block, assume_unique=True)
+            ids = ids[(ids != sender) & (ids != next_hop)]
+            if ids.size == 0:
+                return
+            # Ascending order, exact unit-disc decisions — identical to the
+            # naive sweep's visit order and predicate.
+            bystanders = self.index.filter_in_range(ids, x, y, t).tolist()
         overhear = self._overhear_handlers
-        schedule_transient = self.sim.schedule_transient
-        for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
-            schedule_transient(
-                0.001 * rng.random(), overhear[bystander], packet, sender
-            )
+        schedule = self.sim.schedule
+        for bystander in bystanders:
+            schedule(0.001 * rng.random(), overhear[bystander], packet, sender)
 
     def _hand_off(self, receiver: int, packet: Packet, sender: int) -> None:
         """Unicast hand-off: straight to the dispatch-table handler."""

@@ -82,18 +82,15 @@ class SpatialNeighborIndex:
         self.mobility = mobility
         self.tx_range = tx_range
         self.rebuild_quantum = rebuild_quantum
-        #: The coverage radius a query block must extend beyond its centre
-        #: cell: the unit-disc radius padded by the worst-case drift
-        #: between a snapshot and the latest query it may serve.
-        reach = tx_range + mobility.max_speed * rebuild_quantum
-        #: Queries merge the (2r+1)x(2r+1) cell block around the centre
-        #: cell; cells are sized so the block extends one full reach
-        #: beyond it.  r=1 (reach-sized cells) measures fastest at the
-        #: paper's densities: finer splits trim the candidate superset
-        #: (~30% at r=2) but pay more per-query block merges, and the
-        #: numpy fixed overhead per filter dominates element count.
-        self._block_radius = 1
-        self.cell_size = reach / self._block_radius
+        #: Cells are as wide as the coverage radius a query block must
+        #: extend beyond its centre cell: the unit-disc radius padded by the
+        #: worst-case drift between a snapshot and the latest query it may
+        #: serve.  Queries merge the 3x3 cell block around the centre cell.
+        #: That measures fastest at the paper's densities: a 5x5 block of
+        #: half-reach cells trims the candidate superset (~30%) but pays
+        #: more per-query block merges, and the numpy fixed overhead per
+        #: filter dominates element count.
+        self.cell_size = tx_range + mobility.max_speed * rebuild_quantum
         #: Squared-distance thresholds bracketing the rounding-ambiguous
         #: band around the range boundary (see module docstring).
         self._definitely_in = (tx_range * (1.0 - _BOUNDARY_REL)) ** 2
@@ -209,11 +206,10 @@ class SpatialNeighborIndex:
         if candidates is None:
             cx, cy = key
             cells = self._cells
-            r = self._block_radius
             blocks = [
                 ids
-                for kx in range(cx - r, cx + r + 1)
-                for ky in range(cy - r, cy + r + 1)
+                for kx in (cx - 1, cx, cx + 1)
+                for ky in (cy - 1, cy, cy + 1)
                 if (ids := cells.get((kx, ky))) is not None
             ]
             if not blocks:

@@ -4,23 +4,28 @@ from __future__ import annotations
 
 import heapq
 
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import Event, Simulator
 
 
 class HeapSimulator(Simulator):
     """The oracle kernel: peek the heap top, pop, dispatch, one at a time.
 
-    The shipped :meth:`Simulator.run` drains near-future events into a
-    sorted bucket lane; this is the plain binary-heap loop whose
-    ``(time, seq)`` order it must reproduce.
-    Outside ``Simulator.run`` the lane is closed, so every ``schedule*``
-    call lands on the heap and this loop sees the complete queue.  Macro
-    events (the medium's delivery batches) are not supported.
+    The shipped :meth:`Simulator.run` dispatches a delivery batch's entries
+    inline for as long as each precedes the heap top; here
+    :meth:`schedule_batch` queues one plain event per entry at the entry's
+    reserved ``(time, seq)`` key instead, so this loop sees every delivery
+    as its own heap entry.  Its ``pending_events`` therefore counts a
+    parked batch once per remaining entry, where the shipped kernel counts
+    it once.
     """
+
+    def schedule_batch(self, entries, packet, sender):
+        for time, seq, handler in entries:
+            event = Event(time, seq, handler, (packet, sender))
+            heapq.heappush(self._heap, (time, seq, event))
 
     def run(self, until=None):
         heap = self._heap
-        pool = self._event_pool
         self._running = True
         try:
             while self._running and heap:
@@ -31,16 +36,11 @@ class HeapSimulator(Simulator):
                 if until is not None and event.time > until:
                     break
                 heapq.heappop(heap)
-                event._queued = False
-                self._pending -= 1
                 self.now = event.time
                 self._processed += 1
                 event.callback(*event.args)
-                if event._transient and not event._queued:
-                    event.callback = None
-                    event.args = ()
-                    pool.append(event)
+            stopped = not self._running
         finally:
             self._running = False
-        if until is not None and until > self.now:
+        if until is not None and until > self.now and not stopped:
             self.now = until

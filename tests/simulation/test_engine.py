@@ -89,20 +89,30 @@ class TestCancellation:
         assert sim.pending_events == 1
 
 
-class TestPendingCounter:
-    """``pending_events`` is a live O(1) counter, exact under both loops.
+def queue_batch(sim, times, handler):
+    """Queue one delivery batch at ``times``, seqs reserved like the medium's."""
+    seq = sim._seq
+    sim._seq = seq + len(times)
+    sim.schedule_batch(
+        [(t, seq + k, handler) for k, t in enumerate(times)], "packet", 0
+    )
 
-    ``bucketed=False`` runs the same queue through the reference heap loop.
+
+class TestPendingCounter:
+    """``pending_events`` counts queued, not-cancelled entries, exact under
+    both loops.
+
+    ``shipped=False`` runs the same queue through the reference heap loop.
     """
 
-    @pytest.mark.parametrize("bucketed", [False, True])
-    def test_tracks_schedule_dispatch_and_cancel(self, bucketed):
-        sim = Simulator() if bucketed else HeapSimulator()
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_tracks_schedule_dispatch_and_cancel(self, shipped):
+        sim = Simulator() if shipped else HeapSimulator()
         observed = []
         assert sim.pending_events == 0
         sim.schedule(1.0, lambda: observed.append(sim.pending_events))
         sim.schedule_at(2.0, lambda: observed.append(sim.pending_events))
-        sim.schedule_transient(3.0, lambda: observed.append(sim.pending_events))
+        sim.schedule(3.0, lambda: observed.append(sim.pending_events))
         victim = sim.schedule(4.0, lambda: observed.append("never"))
         assert sim.pending_events == 4
         victim.cancel()
@@ -110,13 +120,13 @@ class TestPendingCounter:
         victim.cancel()  # idempotent: no double decrement
         assert sim.pending_events == 3
         sim.run()
-        # Each callback saw the count *after* its own dispatch decrement.
+        # Each callback saw the count *after* its own dispatch.
         assert observed == [2, 1, 0]
         assert sim.pending_events == 0
 
-    @pytest.mark.parametrize("bucketed", [False, True])
-    def test_counts_events_scheduled_from_callbacks(self, bucketed):
-        sim = Simulator() if bucketed else HeapSimulator()
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_counts_events_scheduled_from_callbacks(self, shipped):
+        sim = Simulator() if shipped else HeapSimulator()
         seen = []
 
         def parent():
@@ -133,9 +143,22 @@ class TestPendingCounter:
         assert sim.pending_events == 0
         assert seen == [1, 0]
 
+    def test_parked_batch_counts_once(self):
+        sim = Simulator()
+        observed = []
+
+        queue_batch(sim, [1.0, 2.0, 3.0], lambda p, s: observed.append(sim.pending_events))
+        sim.schedule(1.5, lambda: observed.append(sim.pending_events))
+        assert sim.pending_events == 2
+        sim.run()
+        # While the batch dispatches it is off the queue; parked at its
+        # 2.0 s entry (seen by the 1.5 s event) it is one entry.
+        assert observed == [1, 1, 0, 0]
+        assert sim.processed_events == 4
+
     def test_interrupted_run_preserves_count(self):
-        sim = Simulator(lane_quantum=100.0)
-        # All three land in one bucket window; stop() after the first.
+        sim = Simulator()
+        # stop() after the first of three queued events.
         sim.schedule(1.0, sim.stop)
         sim.schedule(1.5, lambda: None)
         sim.schedule(2.0, lambda: None)
@@ -143,6 +166,57 @@ class TestPendingCounter:
         assert sim.pending_events == 2
         sim.run()
         assert sim.pending_events == 0
+
+
+class TestDeliveryBatches:
+    """A batch runs its deliveries inline only while each is globally next."""
+
+    def test_deliveries_run_in_key_order(self):
+        sim = Simulator()
+        seen = []
+        queue_batch(sim, [1.0, 1.0, 2.0], lambda p, s: seen.append((sim.now, p, s)))
+        sim.run()
+        assert seen == [(1.0, "packet", 0), (1.0, "packet", 0), (2.0, "packet", 0)]
+        assert sim.processed_events == 3
+
+    def test_batch_yields_to_an_earlier_event(self):
+        sim = Simulator()
+        seen = []
+        queue_batch(sim, [1.0, 3.0], lambda p, s: seen.append(("batch", sim.now)))
+        sim.schedule_at(2.0, lambda: seen.append(("plain", sim.now)))
+        sim.run()
+        assert seen == [("batch", 1.0), ("plain", 2.0), ("batch", 3.0)]
+
+    def test_batch_respects_until(self):
+        sim = Simulator()
+        seen = []
+        queue_batch(sim, [1.0, 3.0], lambda p, s: seen.append(sim.now))
+        sim.run(until=2.0)
+        assert (seen, sim.now, sim.processed_events) == ([1.0], 2.0, 1)
+        assert sim.pending_events == 1
+        sim.run()
+        assert seen == [1.0, 3.0]
+
+    def test_stop_inside_a_batch(self):
+        sim = Simulator()
+        seen = []
+
+        def deliver(packet, sender):
+            seen.append(sim.now)
+            if len(seen) == 1:
+                sim.stop()
+
+        queue_batch(sim, [1.0, 1.5], deliver)
+        sim.run(until=5.0)
+        assert (seen, sim.now, sim.pending_events) == ([1.0], 1.0, 1)
+        sim.run()
+        assert seen == [1.0, 1.5]
+
+    def test_batch_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            queue_batch(sim, [1.0], lambda p, s: None)
 
 
 class TestRunUntil:
@@ -169,6 +243,20 @@ class TestRunUntil:
         sim.schedule(2.0, seen.append, "b")
         sim.run()
         assert seen == ["a"]
+
+    def test_stop_inside_until_keeps_the_clock(self):
+        """A ``run(until=)`` ended by ``stop()`` leaves the clock at the
+        stopping event, so what is still queued runs later in order."""
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(0.5, sim.stop)
+        sim.schedule_at(0.7, lambda: seen.append(sim.now))
+        sim.run(until=10.0)
+        assert sim.now == 0.5
+        sim.schedule_at(1.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [0.7, 1.0]
+        assert sim.now == 1.0
 
     def test_processed_events_counter(self):
         sim = Simulator()

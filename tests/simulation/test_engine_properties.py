@@ -14,21 +14,25 @@ def kernel_programs(draw):
     """A small scripted event program exercising every kernel entry point.
 
     Top-level events are scheduled with a mix of relative and absolute
-    calls; when fired, an event may schedule children, fire transient
-    (pooled) callbacks, cancel another top-level handle, or stop the
-    run.  The program is replayed verbatim on both kernels.
+    calls; when fired, an event may schedule children, queue a delivery
+    batch, cancel another top-level handle, or stop the run.  A batch has
+    up to four deliveries jittered 0-3 s after its fan-out, with seqs
+    reserved from ``_seq`` as the medium reserves them; a delivery may
+    schedule a child of its own.  The program is replayed verbatim on
+    both kernels.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     times = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    jitters = st.floats(0.0, 3.0, allow_nan=False)
     events = []
     for _ in range(n):
         events.append({
             "delay": draw(times),
             "absolute": draw(st.booleans()),
-            "children": draw(st.lists(st.floats(0.0, 3.0, allow_nan=False),
-                                      max_size=2)),
-            "transients": draw(st.lists(st.floats(0.0, 3.0, allow_nan=False),
-                                        max_size=2)),
+            "children": draw(st.lists(jitters, max_size=2)),
+            # (jitter, delay of the delivery's own child or None) per entry.
+            "batch": draw(st.lists(st.tuples(jitters, st.one_of(st.none(), jitters)),
+                                   max_size=4)),
             "cancel": draw(st.one_of(st.none(),
                                      st.integers(0, n - 1))),
         })
@@ -36,30 +40,62 @@ def kernel_programs(draw):
         "events": events,
         # At most one event calls sim.stop(); the harness resumes after.
         "stop_index": draw(st.one_of(st.none(), st.integers(0, n - 1))),
-        # run(until=...) segment boundaries before the final drain.
-        "segments": sorted(draw(st.lists(st.floats(0.0, 12.0,
-                                                   allow_nan=False),
-                                         max_size=2))),
-        "lane_quantum": draw(st.sampled_from([0.004, 0.3, 100.0])),
+        # At most one batch's first delivery calls sim.stop().
+        "batch_stop_index": draw(st.one_of(st.none(), st.integers(0, n - 1))),
+        # run(until=...) segment boundaries before the final drain, each
+        # 0-3 s after a top-level event's time, so they often split a
+        # batch's deliveries.
+        "segments": sorted(
+            events[i]["delay"] + offset
+            for i, offset in draw(st.lists(st.tuples(st.integers(0, n - 1), jitters),
+                                           max_size=2))
+        ),
     }
 
 
 def _execute(program, kernel):
-    """Run a kernel program; return its complete observable behaviour."""
-    sim = kernel(seed=0, lane_quantum=program["lane_quantum"])
+    """Run a kernel program; return its complete observable behaviour.
+
+    The log records ``(now, processed_events, tag)`` at every dispatch,
+    delivery and ``run(until=)`` segment end, so a batch dispatched past
+    its segment's ``until`` shows up.  Both kernels are drained before
+    ``pending_events`` is read: the oracle counts a parked batch once per
+    remaining delivery, the shipped kernel once.
+    """
+    sim = kernel(seed=0)
     log = []
     handles = []
 
-    def leaf(tag):
-        log.append((sim.now, tag))
+    def note(tag):
+        log.append((sim.now, sim.processed_events, tag))
+
+    def delivery(tag, child, stop):
+        def deliver(packet, sender):
+            note((tag, packet, sender))
+            if child is not None:
+                sim.schedule(child, note, ("child", tag))
+            if stop:
+                sim.stop()
+        return deliver
 
     def fire(i):
-        log.append((sim.now, ("top", i)))
+        note(("top", i))
         spec = program["events"][i]
         for j, delay in enumerate(spec["children"]):
-            sim.schedule(delay, leaf, ("child", i, j))
-        for j, delay in enumerate(spec["transients"]):
-            sim.schedule_transient(delay, leaf, ("transient", i, j))
+            sim.schedule(delay, note, ("child", i, j))
+        if spec["batch"]:
+            seq = sim._seq
+            sim._seq = seq + len(spec["batch"])
+            keys = sorted(
+                (sim.now + jitter, seq + k, child)
+                for k, (jitter, child) in enumerate(spec["batch"])
+            )
+            entries = [
+                (time, s, delivery(("batch", i, k), child,
+                                   k == 0 and program["batch_stop_index"] == i))
+                for k, (time, s, child) in enumerate(keys)
+            ]
+            sim.schedule_batch(entries, ("packet", i), i)
         if spec["cancel"] is not None:
             handles[spec["cancel"]].cancel()
         if program["stop_index"] == i:
@@ -72,32 +108,35 @@ def _execute(program, kernel):
             handles.append(sim.schedule(spec["delay"], fire, i))
     for until in program["segments"]:
         sim.run(until=until)
-    sim.run()
+        note(("segment", until))
+    for _ in range(3):  # each of the two stop() calls can end one run
+        sim.run()
     return log, sim.processed_events, sim.pending_events, sim.now
 
 
 class TestKernelModeEquivalence:
-    """Bucketed lane vs the pure-heap oracle: identical execution order.
+    """The shipped kernel vs the pure-heap oracle: identical execution order.
 
     The shipped kernel must be observationally indistinguishable from
-    :class:`HeapSimulator` — same events in the same ``(time, seq)``
-    order at the same clock readings, same live pending count, same
-    processed total — under cancellation, nested scheduling, transient
-    pooling, ``stop()`` and segmented ``run(until=...)`` resumption.
+    :class:`HeapSimulator` — same events and deliveries in the same
+    ``(time, seq)`` order at the same clock readings and processed counts,
+    same pending count once drained — under cancellation, nested
+    scheduling, inline batch dispatch, ``stop()`` (also from inside a
+    batch) and segmented ``run(until=...)`` resumption.
     """
 
     @given(program=kernel_programs())
     @settings(max_examples=200, deadline=None)
     def test_bucketed_matches_reference(self, program):
         reference = _execute(program, HeapSimulator)
-        bucketed = _execute(program, Simulator)
-        assert bucketed == reference
+        shipped = _execute(program, Simulator)
+        assert shipped == reference
 
     @given(program=kernel_programs())
     @settings(max_examples=50, deadline=None)
     def test_reference_log_is_time_ordered(self, program):
         log, _, _, _ = _execute(program, HeapSimulator)
-        assert [t for t, _ in log] == sorted(t for t, _ in log)
+        assert [t for t, _, _ in log] == sorted(t for t, _, _ in log)
 
 
 class TestEngineProperties:

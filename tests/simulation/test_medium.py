@@ -41,6 +41,19 @@ def data_packet(origin=0, dest=1):
     return Packet(ptype=PacketType.DATA, origin=origin, dest=dest, size=100)
 
 
+class TestRemovedKeywords:
+    """The kernel's bucket-lane width and the medium's index snapshot
+    lifetime are no longer options."""
+
+    def test_simulator_lane_quantum(self):
+        with pytest.raises(TypeError):
+            Simulator(lane_quantum=0.004)
+
+    def test_medium_rebuild_quantum(self):
+        with pytest.raises(TypeError):
+            build([(0, 0), (100, 0)], rebuild_quantum=0.25)
+
+
 class TestConnectivity:
     def test_neighbors_within_range(self):
         sim, medium, nodes = build([(0, 0), (100, 0), (600, 0)])

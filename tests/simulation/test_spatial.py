@@ -140,8 +140,9 @@ class TestRebuildPolicy:
     def test_cell_size_covers_drift(self):
         mobility = RandomWaypointMobility(n_nodes=5, rng=random.Random(0), max_speed=20.0)
         index = SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=0.25)
-        # Block reach (radius x cell side) covers range + worst-case drift.
-        assert index._block_radius * index.cell_size == pytest.approx(255.0)
+        # A cell spans range + worst-case drift, so the 3x3 query block
+        # reaches one full cell beyond the centre cell.
+        assert index.cell_size == pytest.approx(255.0)
 
     def test_rejects_bad_parameters(self):
         mobility = StaticMobility([(0.0, 0.0), (1.0, 1.0)])

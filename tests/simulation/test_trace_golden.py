@@ -21,6 +21,14 @@ The corpus:
   neighbour lists) and a 25-node DSR/TCP run (TCP feedback amplifies any
   RNG drift).
 
+Each case also pins the kernel's event counts after the run:
+``processed_events`` (every delivery of a batch counts once) and
+``pending_events`` (events still queued past the end, a parked delivery
+batch counting as one entry).  They are read through a session-less
+:class:`ProbeAttack`, which keeps the run's :class:`Simulator` and leaves
+the trace unchanged, and they catch a kernel that keeps the order but
+drops, duplicates or double-counts events.
+
 The digest covers what :func:`~repro.simulation.scenario.trace_fingerprint`
 covers, but not its bytes: that function pickles the recorder's dicts
 keyed by ``IntEnum`` members, and how an enum member pickles differs
@@ -32,8 +40,9 @@ payload from its ``repr`` gives the same bytes under CPython 3.10, 3.11,
 3.12 and 3.13.  The trace itself comes from ``random.Random`` draws,
 ``math.hypot`` and IEEE-754 float arithmetic; the digests were generated
 by simulating under CPython 3.11.  After a deliberate behaviour change,
-regenerate the digests by printing ``portable_digest(run(case))`` for
-each case and say why in the change's notes.
+regenerate the digests and counts by printing ``portable_digest(trace)``,
+``sim.processed_events`` and ``sim.pending_events`` of ``trace, sim =
+run(case)`` for each case and say why in the change's notes.
 """
 
 import hashlib
@@ -41,7 +50,8 @@ import pickle
 
 import pytest
 
-from repro.attacks import BlackholeAttack, DropMode, PacketDroppingAttack
+from repro.attacks import Attack, BlackholeAttack, DropMode, PacketDroppingAttack
+from repro.simulation.engine import Simulator
 from repro.simulation.scenario import ScenarioConfig, SimulationTrace, run_scenario
 
 #: 20 nodes: the paper's evaluation condition.
@@ -135,6 +145,47 @@ GOLDEN = {
     ),
 }
 
+#: case -> (processed_events, pending_events) after the run.
+KERNEL_COUNTS = {
+    "aodv-none": (25134, 61),
+    "aodv-blackhole": (127120, 75),
+    "aodv-lossy": (31305, 65),
+    "aodv-30-none": (42431, 85),
+    "aodv-30-blackhole": (244432, 93),
+    "aodv-64-lossy": (113386, 171),
+    "aodv-100-dropping": (105527, 234),
+    "dsr-none": (12038, 40),
+    "dsr-blackhole": (17189, 41),
+    "dsr-tcp": (72351, 48),
+    "dsr-25-tcp": (49734, 53),
+    "dsr-30-none": (21898, 51),
+    "dsr-30-blackhole": (44641, 52),
+    "dsr-100-blackhole": (239188, 133),
+    "olsr-none": (15795, 80),
+    "olsr-blackhole": (18078, 80),
+    "olsr-30-none": (28618, 110),
+    "olsr-30-blackhole": (37846, 110),
+    "olsr-100-dropping": (75665, 330),
+}
+
+
+class ProbeAttack(Attack):
+    """An attack with no sessions: it only keeps the :class:`Simulator`.
+
+    ``run_scenario`` installs every attack before the run, so afterwards
+    ``probe.sim`` is the kernel that ran it.  With no sessions it
+    schedules nothing and leaves the trace unchanged.
+    """
+
+    def __init__(self):
+        super().__init__(attacker=0, sessions=())
+
+    def activate(self) -> None:  # pragma: no cover - no sessions
+        pass
+
+    def deactivate(self) -> None:  # pragma: no cover - no sessions
+        pass
+
 
 def portable_digest(trace: SimulationTrace) -> str:
     """sha256 of the trace's content in builtin types, independent of the Python version."""
@@ -172,16 +223,20 @@ def make_attacks(kind: str, n_nodes: int, duration: float) -> list:
     ]
 
 
-def run(case: str) -> SimulationTrace:
+def run(case: str) -> tuple[SimulationTrace, Simulator]:
+    """Run one golden case; return its trace and the kernel that ran it."""
     fields, attack, _ = GOLDEN[case]
     config = ScenarioConfig(**fields)
-    return run_scenario(config, make_attacks(attack, config.n_nodes, config.duration))
+    probe = ProbeAttack()
+    attacks = make_attacks(attack, config.n_nodes, config.duration)
+    return run_scenario(config, [*attacks, probe]), probe.sim
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_trace_digest_is_pinned(case):
-    trace = run(case)
+    trace, sim = run(case)
     # The run must exercise the medium and the traffic layer.
     assert trace.recorder.total_packets() > 0
     assert trace.data_delivered > 0
-    assert portable_digest(trace) == GOLDEN[case][2]
+    observed = (portable_digest(trace), sim.processed_events, sim.pending_events)
+    assert observed == (GOLDEN[case][2], *KERNEL_COUNTS[case])
