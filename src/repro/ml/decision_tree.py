@@ -427,10 +427,11 @@ class C45Classifier(CategoricalClassifier):
         """Batched tree walk: rows move through the tree as index arrays.
 
         Each split partitions its row block with one vectorized
-        comparison per child instead of a Python dict lookup per row.
-        Answers are identical to :meth:`_predict_proba_rowwise` (same
-        node reached, same smoothing expression) — the rowwise form is
-        kept as the reference the tests and benchmarks compare against.
+        comparison per child instead of a Python dict lookup per row, and
+        a row whose value no child saw at fit answers from the node it
+        stopped at.  Answers are bit-identical to a per-row walk (same
+        node reached, same smoothing expression); that walk is the test
+        oracle ``tests/ml/reference.py::predict_proba_rowwise``.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.int64)
@@ -455,23 +456,6 @@ class C45Classifier(CategoricalClassifier):
             if not routed.all():
                 # Unseen values: answer from this node's own counts.
                 out[rows[~routed]] = self._node_proba(node)
-        return out
-
-    def _predict_proba_rowwise(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-row walk (pre-vectorization behaviour)."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.int64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        out = np.empty((len(X), self.n_classes_))
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                child = node.children.get(int(row[node.attr]))
-                if child is None:
-                    break  # unseen value: answer from this node's counts
-                node = child
-            out[i] = self._node_proba(node)
         return out
 
     # ------------------------------------------------------------------

@@ -104,14 +104,15 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        # Negated so a NaN delay fails the check too, at no extra cost.
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number: {delay}")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if not time >= self.now:  # also rejects NaN, which compares False
+            raise ValueError(f"cannot schedule at {time}: not >= now ({self.now})")
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, args)
@@ -131,8 +132,8 @@ class Simulator:
         Each ``handler(packet, sender)`` runs at its entry's key.
         """
         time, seq, _ = entries[0]
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if not time >= self.now:  # also rejects NaN, which compares False
+            raise ValueError(f"cannot schedule at {time}: not >= now ({self.now})")
         heapq.heappush(self._heap, (time, seq, MacroEvent(entries, (packet, sender))))
 
     # ------------------------------------------------------------------

@@ -21,19 +21,16 @@ statistics:
 
 Connectivity queries go through a
 :class:`~repro.simulation.spatial.SpatialNeighborIndex` (grid-pruned
-candidates + exact unit-disc post-filter) from ``SMALL_N_CUTOFF`` nodes up.
-Below the cutoff, and for partially-attached node sets, the medium scans
-all nodes instead: per-query numpy overhead exceeds a 30-iteration Python
-loop, which is what made small scenarios *slower* with the index.  Either
-path produces bit-identical traces — see DESIGN.md §Performance for the
-invariants.
+candidates + exact unit-disc post-filter) at every network size and on
+partially attached stacks; the answers, their order and the shared-RNG
+draws they cause are those of a naive ascending scan — see DESIGN.md
+§Performance for the invariants.
 
-Promiscuous taps on a unicast skip the bystander sweep whenever no node
-listens (every AODV and OLSR scenario), on either side of the cutoff: the
-sweep's only other effect — lazily advancing every attached node's
-mobility, which consumes shared-RNG waypoint draws — is replayed by
-``position(sender)`` plus one ascending ``advance_all``, so traces stay
-bit-identical.
+Promiscuous taps on a unicast first replay a naive bystander sweep's only
+side effect — lazily advancing every attached node's mobility, which
+consumes shared-RNG waypoint draws — with ``position(sender)`` plus one
+ascending ``advance_all``, and stop there whenever no node listens (every
+AODV and OLSR scenario), so traces stay bit-identical.
 
 Broadcast delivery folds a transmission's whole fan-out into one kernel
 delivery batch (:meth:`~repro.simulation.engine.Simulator.schedule_batch`,
@@ -48,10 +45,7 @@ batch back on the queue whenever any other event interleaves.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.simulation.engine import Simulator
 from repro.simulation.mobility import RandomWaypointMobility
@@ -62,12 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.node import Node
 
 FailureCallback = Callable[[Packet, int], None]
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-#: Below this node count the medium scans all nodes instead of building
-#: the spatial index (grid bookkeeping costs more than it saves).
-SMALL_N_CUTOFF = 48
 
 
 class WirelessMedium:
@@ -91,11 +79,6 @@ class WirelessMedium:
         interface queue is dropped (congestion drop).
     retry_delay:
         Time after which a failed unicast is reported to the sender.
-    use_index:
-        Route neighbor queries through the spatial grid index.  ``None``
-        (default) uses it from ``SMALL_N_CUTOFF`` nodes up; an explicit
-        ``True`` / ``False`` forces the choice.  Traces are bit-identical
-        either way.
     """
 
     def __init__(
@@ -108,7 +91,6 @@ class WirelessMedium:
         loss_rate: float = 0.0,
         max_queue_delay: float = 0.5,
         retry_delay: float = 0.05,
-        use_index: bool | None = None,
     ):
         self.sim = sim
         self.mobility = mobility
@@ -121,12 +103,7 @@ class WirelessMedium:
         self.nodes: list["Node"] = []
         self._busy_until: list[float] = []
         self._promiscuous: set[int] = set()
-        self._promiscuous_ids = _EMPTY_IDS
-        if use_index is None:
-            use_index = mobility.n_nodes >= SMALL_N_CUTOFF
-        self.index: SpatialNeighborIndex | None = (
-            SpatialNeighborIndex(mobility, tx_range) if use_index else None
-        )
+        self.index = SpatialNeighborIndex(mobility, tx_range)
         # Per-node dispatch tables: medium delivery jumps straight to the
         # routing protocol's handler once one is installed (see
         # Node.set_routing), skipping the on_receive trampoline.
@@ -169,7 +146,6 @@ class WirelessMedium:
             self._promiscuous.add(node_id)
         else:
             self._promiscuous.discard(node_id)
-        self._promiscuous_ids = np.array(sorted(self._promiscuous), dtype=np.int64)
 
     def _note_handlers(
         self,
@@ -198,39 +174,13 @@ class WirelessMedium:
         self._typed_rows[ptype] = row
         return row
 
-    def _index_usable(self) -> bool:
-        """The index paths assume the medium sees every mobility node.
-
-        When fewer nodes are attached than the mobility model knows (some
-        unit tests build partial stacks), advancing *all* mobility nodes
-        would consume RNG draws the naive scan never makes — so fall back.
-        """
-        return self.index is not None and len(self.nodes) == self.mobility.n_nodes
-
     def in_range(self, a: int, b: int) -> bool:
         """Whether nodes ``a`` and ``b`` can currently hear each other."""
-        if self.index is not None:
-            return self.index.in_range(a, b, self.sim.now)
         return self.mobility.distance(a, b, self.sim.now) <= self.tx_range
 
     def neighbors(self, node_id: int) -> list[int]:
-        """Ids of all nodes currently within range of ``node_id``."""
-        t = self.sim.now
-        if self._index_usable():
-            return self.index.neighbors(node_id, t, n_nodes=len(self.nodes))
-        return self._neighbors_scan(node_id, t)
-
-    def _neighbors_scan(self, node_id: int, t: float) -> list[int]:
-        """O(N) scan: below the cutoff and for partial stacks."""
-        x, y = self.mobility.position(node_id, t)
-        result = []
-        for other in range(len(self.nodes)):
-            if other == node_id:
-                continue
-            ox, oy = self.mobility.position(other, t)
-            if math.hypot(ox - x, oy - y) <= self.tx_range:
-                result.append(other)
-        return result
+        """Ids of all attached nodes currently within range of ``node_id``."""
+        return self.index.neighbors(node_id, self.sim.now, len(self.nodes))
 
     # ------------------------------------------------------------------
     # Transmission
@@ -373,49 +323,31 @@ class WirelessMedium:
     def _deliver_taps(self, sender: int, packet: Packet, next_hop: int, rng) -> None:
         """Promiscuous taps: bystanders in range overhear the exchange.
 
-        Fast path: when no registered node listens promiscuously (AODV and
-        OLSR scenarios), the geometric sweep is skipped entirely, with or
-        without the spatial index.  The naive sweep's side effect of
-        lazily advancing every attached node's mobility — which consumes
-        shared-RNG waypoint draws — is replicated by an explicit advance
-        (sender first, then ascending ids), keeping traces bit-identical.
-        When listeners exist, only *their* distances are tested
-        (ascending id order, the same order the naive neighbor sweep
-        would visit them in).  Either way one loop schedules the
-        listeners' overhear handlers, one jitter draw each.
+        First the draw-order replay of a naive bystander sweep: the sender,
+        then every attached node in ascending id order, is advanced to
+        now (lazy advances consume shared-RNG waypoint draws).  When no
+        node listens promiscuously (AODV and OLSR scenarios) that is all.
+        Otherwise the listeners in the sender's grid block — a superset of
+        those in range; DSR marks *every* node promiscuous, so the block
+        is what keeps taps sub-O(N) — bar the sender and the next hop pass
+        the exact unit-disc filter in ascending id order, and each one
+        left gets its overhear handler scheduled with one jitter draw.
         """
-        ids = self._promiscuous_ids
-        if ids.size and not self._index_usable():
-            # No index (below the cutoff, or a partial stack): full
-            # neighbor sweep.
-            nodes = self.nodes
-            bystanders = [
-                b for b in self.neighbors(sender)
-                if b != next_hop and nodes[b].promiscuous
-            ]
-        else:
-            t = self.sim.now
-            mobility = self.mobility
-            # Draw-order parity with the naive sweep: sender first, then all.
-            x, y = mobility.position(sender, t)
-            mobility.advance_all(t, len(self.nodes))
-            if ids.size == 0:
-                return
-            # Prune listeners to the grid block around the sender (a strict
-            # superset of the in-range set — DSR marks *every* node
-            # promiscuous, so this is what keeps taps sub-O(N)).
-            block = self.index.candidates_near(x, y, t)
-            if block.size < ids.size:
-                ids = np.intersect1d(ids, block, assume_unique=True)
-            ids = ids[(ids != sender) & (ids != next_hop)]
-            if ids.size == 0:
-                return
-            # Ascending order, exact unit-disc decisions — identical to the
-            # naive sweep's visit order and predicate.
-            bystanders = self.index.filter_in_range(ids, x, y, t).tolist()
+        t = self.sim.now
+        mobility = self.mobility
+        n = len(self.nodes)
+        x, y = mobility.position(sender, t)
+        mobility.advance_all(t, n)
+        listening = self._promiscuous
+        if not listening:
+            return
+        ids = [
+            b for b in self.index.block(x, y, t, n)
+            if b in listening and b != next_hop
+        ]
         overhear = self._overhear_handlers
         schedule = self.sim.schedule
-        for bystander in bystanders:
+        for bystander in mobility.within(ids, x, y, t, self.tx_range, sender):
             schedule(0.001 * rng.random(), overhear[bystander], packet, sender)
 
     def _hand_off(self, receiver: int, packet: Packet, sender: int) -> None:

@@ -11,38 +11,34 @@ heap no matter how often positions are queried.
 *absolute velocity* feature (Feature Set I, Table 4) reads it at every
 sampling tick.
 
-Motion state is kept in two views that :meth:`~RandomWaypointMobility._advance`
-(the only writer) updates together whenever a node starts a new leg:
-
-* per node, a tuple of Python floats ``(x0, y0, x1, y1, depart, arrive)``
-  beside Python-float pause-until and speed lists — what the scalar
-  queries :meth:`~RandomWaypointMobility.position`,
-  :meth:`~RandomWaypointMobility.speed` and
-  :meth:`~RandomWaypointMobility.distance` read (one tuple unpack, no
-  numpy scalars: the naive neighbour scan below the spatial-index cutoff
-  calls ``position()`` for every node on every transmission);
-* parallel numpy columns (struct-of-arrays), the vectorized view behind
-  :meth:`~RandomWaypointMobility.positions_at` (all nodes, memoized per
-  timestamp — the spatial grid rebuilds from it),
-  :meth:`~RandomWaypointMobility.positions_of` (an id subset —
-  neighbor-query candidates) and
-  :meth:`~RandomWaypointMobility.speeds_at` (the sampling ticks).
+Motion state is one view that :meth:`~RandomWaypointMobility._advance`
+(the only writer) updates whenever a node starts a new leg: per node, a
+tuple of Python floats ``(x0, y0, x1, y1, depart, arrive)`` beside
+Python-float pause-until and speed lists.
+:meth:`~RandomWaypointMobility.position`,
+:meth:`~RandomWaypointMobility.speed`,
+:meth:`~RandomWaypointMobility.distance`,
+:meth:`~RandomWaypointMobility.speeds_at` (the sampling ticks) and
+:meth:`~RandomWaypointMobility.within` (the exact unit-disc filter of
+every neighbor query) read it; the leg tuple never leaves this module.
 
 Determinism contract
 --------------------
 Waypoint draws come lazily from the *shared* simulator RNG, so the byte
 content of a trace depends on the exact order in which nodes are advanced.
-Two invariants keep the vectorized fast paths bit-identical to the naive
-per-node scans:
+Two invariants keep neighbor queries bit-identical to a naive per-node
+``position()`` scan:
 
 * :meth:`advance_all` advances stale nodes in **ascending node-id order** —
-  the same order the naive ``for other in range(n)`` scans used — and
+  the order a naive ``for other in range(n)`` scan visits them in — and
   takes an optional node count so a partially attached stack advances
   exactly the nodes such a scan would visit;
-* the vectorized evaluators use the **same IEEE-754 expressions** as the
-  scalar :meth:`position` (``frac = (t - depart) / (arrive - depart)``;
-  ``x = x0 + frac * (x1 - x0)``), and both views hold the same doubles,
-  so vectorized coordinates are bit-equal to scalar ones.
+* :meth:`within` evaluates the **same IEEE-754 expression** as
+  :meth:`position` (``frac = (t - depart) / (arrive - depart)``;
+  ``x = x0 + frac * (x1 - x0)``) inline on each leg, and consults the
+  scan's literal ``math.hypot(dx, dy) <= radius`` wherever squared
+  distances could round differently, so it keeps exactly the ids the scan
+  keeps.
 """
 
 from __future__ import annotations
@@ -50,7 +46,12 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
+#: Relative half-width of the squared-distance band around ``radius``
+#: inside which :meth:`RandomWaypointMobility.within` consults the exact
+#: ``math.hypot`` predicate.  Well above accumulated float64 rounding
+#: (~1e-16 relative), well below any physically meaningful distance
+#: difference.
+_BOUNDARY_REL = 1e-12
 
 
 class RandomWaypointMobility:
@@ -109,21 +110,10 @@ class RandomWaypointMobility:
         n = len(positions)
         xs = [float(x) for x, _ in positions]
         ys = [float(y) for _, y in positions]
-        #: Scalar view: the current leg of every node as Python floats.
+        #: The current leg of every node as Python floats.
         self._legs = [(x, y, x, y, 0.0, 0.0) for x, y in zip(xs, ys)]
         self._pause = [pause_until] * n
         self._speeds = [0.0] * n
-        # Vectorized view: the same legs as struct-of-arrays columns.
-        # Kept as separate contiguous 1-D arrays — per-candidate-subset
-        # gathers from them beat a fused (6, n) fancy-index at the subset
-        # sizes neighbor queries produce.
-        self._x0 = np.array(xs)
-        self._y0 = np.array(ys)
-        self._x1 = np.array(xs)
-        self._y1 = np.array(ys)
-        self._depart = np.zeros(n)
-        self._arrive = np.zeros(n)
-        self._speed = np.zeros(n)
         #: Lower bound on min(_pause): advance_all returns instantly while
         #: t stays below it.  _advance only ever raises pause times, so a
         #: stale value is conservative (never skips a due advance).
@@ -131,8 +121,6 @@ class RandomWaypointMobility:
         #: Bumped whenever positions change other than by time passing
         #: (teleports in :class:`StaticMobility`); spatial indexes watch it.
         self._version = 0
-        #: Single-entry memo of the last all-nodes position evaluation.
-        self._pos_cache: tuple[float, int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -145,9 +133,8 @@ class RandomWaypointMobility:
 
         Callers check ``t >= self._pause[node_id]`` first (the common case
         is no advance, and the check is cheaper than the call).  The only
-        writer of motion state: the leg tuple, pause and speed lists and
-        the numpy columns change here and nowhere else (bar
-        :meth:`StaticMobility.move`), so the two views cannot drift apart.
+        writer of motion state: the leg tuple, pause and speed lists
+        change here and nowhere else (bar :meth:`StaticMobility.move`).
         """
         pause_until = self._pause[node_id]
         rng = self._rng
@@ -165,13 +152,6 @@ class RandomWaypointMobility:
         self._legs[node_id] = (x0, y0, x1, y1, depart, arrive)
         self._pause[node_id] = pause_until
         self._speeds[node_id] = speed
-        self._x0[node_id] = x0
-        self._y0[node_id] = y0
-        self._x1[node_id] = x1
-        self._y1[node_id] = y1
-        self._depart[node_id] = depart
-        self._arrive[node_id] = arrive
-        self._speed[node_id] = speed
 
     def advance_all(self, t: float, n: int | None = None) -> None:
         """Advance every stale node to ``t``, in ascending node-id order.
@@ -201,63 +181,6 @@ class RandomWaypointMobility:
         frac = (t - depart) / (arrive - depart)
         return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
-    def _interpolate(self, idx, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized position evaluation over ``idx`` (slice or id array).
-
-        Callers must have advanced the selected nodes to ``t`` already.
-        Expression-identical to :meth:`position`, so results are bit-equal.
-        """
-        if isinstance(idx, slice):
-            x0 = self._x0
-            y0 = self._y0
-            x1 = self._x1
-            y1 = self._y1
-            depart = self._depart
-            arrive = self._arrive
-        else:
-            # Six 1-D gathers from the contiguous row views: measurably
-            # faster than one (6, n)[:, idx] fancy-index for the ~100-200
-            # element candidate subsets a neighbor query produces.  `take`
-            # skips the general fancy-indexing machinery.
-            x0 = self._x0.take(idx)
-            y0 = self._y0.take(idx)
-            x1 = self._x1.take(idx)
-            y1 = self._y1.take(idx)
-            depart = self._depart.take(idx)
-            arrive = self._arrive.take(idx)
-        # Advanced nodes always satisfy depart <= t, so a zero-length leg
-        # (arrive == depart, only when the waypoint draw repeats the
-        # current position) already fails `t < arrive` — the reference
-        # scalar's `arrive == depart` guard needs no separate term.
-        moving = t < arrive
-        frac = (t - depart) / np.where(moving, arrive - depart, 1.0)
-        xs = np.where(moving, x0 + frac * (x1 - x0), x1)
-        ys = np.where(moving, y0 + frac * (y1 - y0), y1)
-        return xs, ys
-
-    def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized positions of *all* nodes at time ``t``.
-
-        Returns ``(xs, ys)`` float64 arrays, bit-equal to calling
-        :meth:`position` per node.  Memoized per timestamp (and mobility
-        version).  Callers must treat the arrays as read-only.
-        """
-        cache = self._pos_cache
-        if cache is not None and cache[0] == t and cache[1] == self._version:
-            return cache[2], cache[3]
-        self.advance_all(t)
-        xs, ys = self._interpolate(slice(None), t)
-        self._pos_cache = (t, self._version, xs, ys)
-        return xs, ys
-
-    def positions_of(self, ids: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized positions of an id subset at time ``t``.
-
-        Assumes :meth:`advance_all` (or equivalent) already ran for ``t``
-        — this is the inner call of a neighbor query, after the advance.
-        """
-        return self._interpolate(ids, t)
-
     def speed(self, node_id: int, t: float) -> float:
         """Current scalar speed: the leg speed while moving, 0 while paused."""
         if t >= self._pause[node_id]:
@@ -267,13 +190,56 @@ class RandomWaypointMobility:
         return self._speeds[node_id]
 
     def speeds_at(self, t: float) -> list[float]:
-        """Vectorized scalar speeds of all nodes at time ``t``.
+        """Scalar speeds of all nodes at time ``t``.
 
         Equivalent to ``[speed(i, t) for i in range(n_nodes)]`` — both in
         values and in shared-RNG draw order.
         """
         self.advance_all(t)
-        return np.where(t < self._arrive, self._speed, 0.0).tolist()
+        return [
+            0.0 if t >= leg[5] else speed
+            for leg, speed in zip(self._legs, self._speeds)
+        ]
+
+    def within(
+        self,
+        ids: list[int],
+        x: float,
+        y: float,
+        t: float,
+        radius: float,
+        skip: int,
+    ) -> list[int]:
+        """Ids from ``ids`` (bar ``skip``) within ``radius`` of ``(x, y)`` at ``t``.
+
+        The exact unit-disc filter of every neighbor query; ``ids`` order
+        is kept.  Callers must have advanced the listed nodes to ``t``
+        (:meth:`advance_all`), so no leg is stale and nothing draws.  Each
+        coordinate is the :meth:`position` expression evaluated inline on
+        the node's leg, and the decision is ``math.hypot(dx, dy) <=
+        radius`` bit for bit: a squared distance outside the band of one
+        part in 10^12 around ``radius**2`` decides alone, and only a
+        candidate inside the band calls ``math.hypot``.
+        """
+        inner = (radius * (1.0 - _BOUNDARY_REL)) ** 2
+        outer = (radius * (1.0 + _BOUNDARY_REL)) ** 2
+        legs = self._legs
+        kept = []
+        for i in ids:
+            if i == skip:
+                continue
+            x0, y0, x1, y1, depart, arrive = legs[i]
+            if t >= arrive or arrive == depart:
+                dx = x1 - x
+                dy = y1 - y
+            else:
+                frac = (t - depart) / (arrive - depart)
+                dx = x0 + frac * (x1 - x0) - x
+                dy = y0 + frac * (y1 - y0) - y
+            d2 = dx * dx + dy * dy
+            if d2 <= inner or (d2 <= outer and math.hypot(dx, dy) <= radius):
+                kept.append(i)
+        return kept
 
     def distance(self, a: int, b: int, t: float) -> float:
         """Euclidean distance between two nodes at time ``t``."""
@@ -305,6 +271,4 @@ class StaticMobility(RandomWaypointMobility):
         """Teleport a node (tests use this to break and form links)."""
         x, y = float(position[0]), float(position[1])
         self._legs[node_id] = (x, y, x, y, 0.0, 0.0)
-        self._x0[node_id] = self._x1[node_id] = x
-        self._y0[node_id] = self._y1[node_id] = y
         self._version += 1

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.ml.decision_tree import C45Classifier, trees_equal
 from repro.ml.naive_bayes import NaiveBayesClassifier
+from tests.ml.reference import predict_proba_rowwise
 
 
 def _assert_identical_fits(fast: C45Classifier, ref: C45Classifier, X) -> None:
@@ -41,6 +42,26 @@ def categorical_dataset(draw):
     X = draw(arrays(np.int64, (n, d), elements=st.integers(0, k_x - 1)))
     y = draw(arrays(np.int64, (n,), elements=st.integers(0, k_y - 1)))
     return X, y
+
+
+class TestC45Prediction:
+    @given(data=categorical_dataset(),
+           prune=st.booleans(),
+           max_depth=st.sampled_from([None, 1, 3]),
+           probe=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_walk_matches_rowwise_oracle(self, data, prune, max_depth, probe):
+        """Bit for bit, on the training rows and on probe rows whose values
+        (up to two past the largest seen) no child saw at fit."""
+        X, y = data
+        clf = C45Classifier(prune=prune, max_depth=max_depth).fit(X, y)
+        unseen = probe.draw(arrays(
+            np.int64, (probe.draw(st.integers(1, 30)), X.shape[1]),
+            elements=st.integers(0, int(X.max()) + 2),
+        ))
+        for rows in (X, unseen):
+            assert np.array_equal(clf.predict_proba(rows), predict_proba_rowwise(clf, rows))
 
 
 class TestC45Identity:

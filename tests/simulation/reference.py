@@ -1,8 +1,13 @@
-"""Reference event kernel: the oracle for the shipped ``Simulator.run``."""
+"""Simulator oracles: the plain event loop and the naive neighbor scan.
+
+``HeapSimulator`` is the oracle for the shipped ``Simulator.run``;
+:func:`scan_neighbors` is the oracle for the medium's grid neighbor path.
+"""
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from repro.simulation.engine import Event, Simulator
 
@@ -44,3 +49,24 @@ class HeapSimulator(Simulator):
             self._running = False
         if until is not None and until > self.now and not stopped:
             self.now = until
+
+
+def scan_neighbors(medium, node_id):
+    """The naive O(N) neighbor scan: the oracle for ``WirelessMedium.neighbors``.
+
+    Queries ``node_id`` first and then every attached node in ascending id
+    order through ``position()`` — lazy advances draw waypoints from the
+    shared RNG in exactly that order — and keeps every other node whose
+    literal ``math.hypot`` distance is within ``tx_range``.
+    """
+    t = medium.sim.now
+    position = medium.mobility.position
+    x, y = position(node_id, t)
+    result = []
+    for other in range(len(medium.nodes)):
+        if other == node_id:
+            continue
+        ox, oy = position(other, t)
+        if math.hypot(ox - x, oy - y) <= medium.tx_range:
+            result.append(other)
+    return result

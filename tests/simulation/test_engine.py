@@ -51,6 +51,24 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_time_or_delay_rejected(self):
+        """NaN compares False against everything, so a ``time < now`` check
+        would let it into the heap and break the run order."""
+        nan = float("nan")
+        sim = Simulator()
+        order = []
+        sim.schedule_at(2.0, order.append, "two")
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(nan, order.append, "nan")
+        sim.schedule_at(1.0, order.append, "one")
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule(nan, order.append, "nan")
+        with pytest.raises(ValueError, match="nan"):
+            queue_batch(sim, [nan, 3.0], lambda p, s: order.append("batch"))
+        sim.run()
+        assert order == ["one", "two"]
+        assert sim.now == 2.0
+
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
         seen = []

@@ -42,8 +42,8 @@ def data_packet(origin=0, dest=1):
 
 
 class TestRemovedKeywords:
-    """The kernel's bucket-lane width and the medium's index snapshot
-    lifetime are no longer options."""
+    """The kernel's bucket-lane width, the medium's index snapshot
+    lifetime and its scan-or-index choice are no longer options."""
 
     def test_simulator_lane_quantum(self):
         with pytest.raises(TypeError):
@@ -52,6 +52,11 @@ class TestRemovedKeywords:
     def test_medium_rebuild_quantum(self):
         with pytest.raises(TypeError):
             build([(0, 0), (100, 0)], rebuild_quantum=0.25)
+
+    def test_medium_use_index(self):
+        for use_index in (None, False, True):
+            with pytest.raises(TypeError):
+                build([(0, 0), (100, 0)], use_index=use_index)
 
 
 class TestConnectivity:

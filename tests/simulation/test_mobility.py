@@ -2,9 +2,7 @@
 
 import math
 import random
-import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,12 +94,8 @@ class TestStaticMobility:
 
 
 # ----------------------------------------------------------------------
-# The two motion-state views and the shared-RNG contract (property tests)
+# The exact in-range filter and the shared-RNG contract (property tests)
 # ----------------------------------------------------------------------
-def bits(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
 #: Non-decreasing query times: running sums of non-negative steps (zero
 #: steps repeat an instant; long steps cross several legs in one advance).
 query_times = st.lists(
@@ -121,30 +115,36 @@ class TestMobilityViews:
         seed=st.integers(0, 2**32 - 1),
         pause_time=st.sampled_from([0.0, 2.5, 10.0]),
         times=query_times,
+        radius=st.floats(min_value=1.0, max_value=1500.0),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_scalar_and_vector_views_agree_bit_for_bit(
-        self, n_nodes, seed, pause_time, times, data
+    def test_within_keeps_what_the_position_scan_keeps(
+        self, n_nodes, seed, pause_time, times, radius, data
     ):
-        """position/speed (float tuples) == positions_at/speeds_at (columns)."""
+        """``within`` == ``position()`` per id plus the literal hypot test.
+
+        Besides a random radius, each instant tries a radius equal to one
+        node's exact distance and the next double below it, so the
+        squared-distance band and its ``math.hypot`` fallback decide.
+        """
         model = make_model(n_nodes, seed, pause_time)
         for t in times:
-            # Some nodes advance through the scalar path first, the rest
-            # through the vectorized advance: both orders must agree.
-            early = data.draw(st.sets(st.integers(0, n_nodes - 1)))
-            scalar = {i: (model.position(i, t), model.speed(i, t)) for i in sorted(early)}
-            xs, ys = model.positions_at(t)
-            speeds = model.speeds_at(t)
-            for i in range(n_nodes):
-                x, y = model.position(i, t)
-                assert (bits(x), bits(y)) == (bits(xs[i]), bits(ys[i]))
-                assert bits(model.speed(i, t)) == bits(speeds[i])
-                ids = np.array([i])
-                ox, oy = model.positions_of(ids, t)
-                assert (bits(ox[0]), bits(oy[0])) == (bits(x), bits(y))
-                if i in scalar:
-                    assert scalar[i] == ((x, y), speeds[i])
+            model.advance_all(t)
+            q = data.draw(st.integers(0, n_nodes - 1), label="query")
+            ids = data.draw(
+                st.lists(st.integers(0, n_nodes - 1), unique=True), label="ids"
+            )
+            x, y = model.position(q, t)
+            edge = model.distance(q, data.draw(st.integers(0, n_nodes - 1)), t)
+            for r in (radius, edge, math.nextafter(edge, 0.0)):
+                if r <= 0.0:
+                    continue
+                expected = [
+                    i for i, (ox, oy) in ((i, model.position(i, t)) for i in ids)
+                    if i != q and math.hypot(ox - x, oy - y) <= r
+                ]
+                assert model.within(ids, x, y, t, r, q) == expected
 
     @given(
         n_nodes=st.integers(1, 12),
@@ -159,9 +159,10 @@ class TestMobilityViews:
     ):
         """``position(q, t); advance_all(t, n)`` == the naive neighbour scan.
 
-        The naive scan (``WirelessMedium._neighbors_scan``) queries the
-        sender ``q`` and then every attached node ``0..n-1`` in ascending
-        order; ``n < n_nodes`` is a partially attached stack.  Both must
+        The naive scan (``tests.simulation.reference.scan_neighbors``, the
+        oracle of the medium's grid path) queries the sender ``q`` and
+        then every attached node ``0..n-1`` in ascending order; ``n <
+        n_nodes`` is a partially attached stack.  Both must
         leave the shared RNG and every node's motion state identical, and
         nodes ``>= n`` untouched.
         """

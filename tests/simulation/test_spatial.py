@@ -1,55 +1,51 @@
 """Unit tests for the spatial neighbor index.
 
-The index is an optimization with a hard contract: every query answers
-exactly what the naive O(N) scan answers, in the same order, while
-consuming the same shared-RNG draw sequence.  These tests pin the
-contract piece by piece; the 64- and 100-node cases in
-``test_trace_golden.py`` check it end to end.
+The grid is the medium's only neighbor path, with a hard contract: every
+query answers exactly what the naive O(N) scan answers, in the same order,
+while consuming the same shared-RNG draw sequence.  The scan survives as
+the oracle :func:`tests.simulation.reference.scan_neighbors`; these tests
+pin the contract piece by piece on twin stacks, and
+``test_trace_golden.py`` checks it end to end.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.simulation.engine import Simulator
-from repro.simulation.medium import SMALL_N_CUTOFF, WirelessMedium
+from repro.simulation.medium import WirelessMedium
 from repro.simulation.mobility import RandomWaypointMobility, StaticMobility
 from repro.simulation.node import Node
+from repro.simulation.packet import Packet, PacketType
 from repro.simulation.spatial import SpatialNeighborIndex
 from repro.simulation.stats import TraceRecorder
+from tests.simulation.reference import scan_neighbors
 
 
-def build_stack(n_nodes, seed, use_index):
+def build_stack(n_nodes, seed, attached=None, promiscuous=False):
+    """A seeded stack; ``attached < n_nodes`` leaves the tail unattached."""
+    attached = n_nodes if attached is None else attached
     sim = Simulator(seed=seed)
     mobility = RandomWaypointMobility(n_nodes=n_nodes, rng=sim.rng)
-    medium = WirelessMedium(sim, mobility, use_index=use_index)
-    recorder = TraceRecorder(n_nodes)
-    for i in range(n_nodes):
-        Node(i, sim, medium, recorder[i])
+    medium = WirelessMedium(sim, mobility)
+    recorder = TraceRecorder(attached)
+    for i in range(attached):
+        Node(i, sim, medium, recorder[i], promiscuous=promiscuous)
     return sim, mobility, medium
 
 
-class TestVectorizedPositions:
-    def test_positions_at_bit_equal_to_scalar(self):
-        """The vectorized evaluator must agree with position() to the bit."""
-        mobility = RandomWaypointMobility(n_nodes=40, rng=random.Random(7))
-        for t in (0.0, 3.7, 12.0, 55.5, 200.25, 1000.0):
-            xs, ys = mobility.positions_at(t)
-            for i in range(40):
-                x, y = mobility.position(i, t)
-                assert xs[i] == x and ys[i] == y, f"node {i} at t={t}"
+def query_stream(n_queries, n_nodes, seed, max_step=0.4):
+    """Increasing query times with a random querying node each."""
+    workload = random.Random(seed)
+    t = 0.0
+    for _ in range(n_queries):
+        t += workload.uniform(0.005, max_step)
+        yield t, workload.randrange(n_nodes)
 
-    def test_positions_of_subset(self):
-        mobility = RandomWaypointMobility(n_nodes=20, rng=random.Random(3))
-        t = 17.5
-        mobility.advance_all(t)
-        ids = np.array([2, 5, 11, 19], dtype=np.int64)
-        xs, ys = mobility.positions_of(ids, t)
-        for k, i in enumerate(ids):
-            x, y = mobility.position(int(i), t)
-            assert xs[k] == x and ys[k] == y
+
+class TestVectorizedPositions:
+    """``speeds_at``: the all-nodes read of the sampling ticks."""
 
     def test_speeds_at_matches_scalar(self):
         mobility = RandomWaypointMobility(n_nodes=15, rng=random.Random(5))
@@ -57,45 +53,78 @@ class TestVectorizedPositions:
             speeds = mobility.speeds_at(t)
             assert speeds == [mobility.speed(i, t) for i in range(15)]
 
-    def test_positions_cache_returns_same_arrays(self):
-        mobility = RandomWaypointMobility(n_nodes=10, rng=random.Random(1))
-        a = mobility.positions_at(5.0)
-        b = mobility.positions_at(5.0)
-        assert a[0] is b[0] and a[1] is b[1]
-
 
 class TestIndexVsNaiveScan:
     def test_neighbors_identical_over_time(self):
         """Same seed, same query stream: identical neighbor lists."""
-        sim_a, _, medium_a = build_stack(40, seed=9, use_index=False)
-        sim_b, _, medium_b = build_stack(40, seed=9, use_index=True)
-        workload = random.Random(123)
-        t = 0.0
-        for _ in range(400):
-            t += workload.uniform(0.005, 0.4)
-            node = workload.randrange(40)
+        sim_a, _, medium_a = build_stack(40, seed=9)
+        sim_b, _, medium_b = build_stack(40, seed=9)
+        for t, node in query_stream(400, 40, seed=123):
             sim_a.now = sim_b.now = t
-            assert medium_a.neighbors(node) == medium_b.neighbors(node)
+            assert medium_a.neighbors(node) == scan_neighbors(medium_b, node)
 
     def test_rng_stream_stays_aligned(self):
-        """Both modes must consume identical shared-RNG draw sequences."""
-        sim_a, _, medium_a = build_stack(25, seed=4, use_index=False)
-        sim_b, _, medium_b = build_stack(25, seed=4, use_index=True)
+        """The grid must consume the scan's shared-RNG draw sequence."""
+        sim_a, _, medium_a = build_stack(25, seed=4)
+        sim_b, _, medium_b = build_stack(25, seed=4)
         t = 0.0
         for step in range(200):
             t += 0.31
             sim_a.now = sim_b.now = t
             medium_a.neighbors(step % 25)
-            medium_b.neighbors(step % 25)
+            scan_neighbors(medium_b, step % 25)
             assert sim_a.rng.getstate() == sim_b.rng.getstate(), f"step {step}"
 
+    @pytest.mark.parametrize(
+        "n_nodes, attached",
+        [(5, 5), (20, 20), (47, 47), (48, 48), (120, 120), (40, 17)],
+        ids=["5", "20", "47", "48", "120", "17of40"],
+    )
+    def test_matches_the_scan_at_every_size(self, n_nodes, attached):
+        """Lists and RNG state equal the oracle's after every query, on
+        both sides of the retired 48-node cutoff and on a partial stack."""
+        sim_a, mob_a, medium_a = build_stack(n_nodes, seed=n_nodes, attached=attached)
+        sim_b, mob_b, medium_b = build_stack(n_nodes, seed=n_nodes, attached=attached)
+        for t, node in query_stream(300, attached, seed=attached):
+            sim_a.now = sim_b.now = t
+            assert medium_a.neighbors(node) == scan_neighbors(medium_b, node), t
+            assert sim_a.rng.getstate() == sim_b.rng.getstate(), t
+        # Unattached nodes are never advanced.
+        assert mob_a._pause[attached:] == mob_b._pause[attached:]
+
+    @pytest.mark.parametrize("n_nodes", [20, 120])
+    def test_taps_match_the_scan_sweep(self, n_nodes):
+        """All-promiscuous stacks: the same bystanders, in the same order,
+        with the same jitter draws as the oracle's full neighbor sweep."""
+        sim_a, _, medium_a = build_stack(n_nodes, seed=3, promiscuous=True)
+        sim_b, _, medium_b = build_stack(n_nodes, seed=3, promiscuous=True)
+        packet = Packet(PacketType.DATA, origin=0, dest=1, size=512)
+        pick = random.Random(n_nodes)
+        for t, sender in query_stream(200, n_nodes, seed=7):
+            next_hop = pick.randrange(n_nodes)
+            sim_a.now = sim_b.now = t
+            sim_a._heap.clear()
+            medium_a._deliver_taps(sender, packet, next_hop, sim_a.rng)
+            tapped = [
+                (time, event.callback.__self__.node_id)
+                for time, _, event in sorted(sim_a._heap, key=lambda e: e[1])
+            ]
+            expected = [
+                (t + 0.001 * sim_b.rng.random(), b)
+                for b in scan_neighbors(medium_b, sender)
+                if b != next_hop and medium_b.nodes[b].promiscuous
+            ]
+            assert tapped == expected, t
+            assert sim_a.rng.getstate() == sim_b.rng.getstate(), t
+
     def test_in_range_parity(self):
-        sim_a, mob_a, medium_a = build_stack(12, seed=2, use_index=False)
-        sim_b, _, medium_b = build_stack(12, seed=2, use_index=True)
-        sim_a.now = sim_b.now = 42.0
+        sim, _, medium = build_stack(12, seed=2)
+        sim.now = 42.0
         for a in range(12):
+            in_range = scan_neighbors(medium, a)
             for b in range(12):
-                assert medium_a.in_range(a, b) == medium_b.in_range(a, b)
+                if b != a:
+                    assert medium.in_range(a, b) == (b in in_range)
 
 
 class TestFilterInRange:
@@ -103,9 +132,7 @@ class TestFilterInRange:
         """Candidates on the disc boundary use the literal hypot test."""
         positions = [(0.0, 0.0), (250.0, 0.0), (250.0000001, 0.0), (176.7766952966369, 176.7766952966369)]
         mobility = StaticMobility(positions)
-        index = SpatialNeighborIndex(mobility, tx_range=250.0)
-        ids = np.arange(1, 4, dtype=np.int64)
-        kept = index.filter_in_range(ids, 0.0, 0.0, 0.0).tolist()
+        kept = mobility.within([1, 2, 3], 0.0, 0.0, 0.0, 250.0, skip=0)
         expected = [
             i for i in (1, 2, 3)
             if math.hypot(positions[i][0], positions[i][1]) <= 250.0
@@ -114,28 +141,35 @@ class TestFilterInRange:
 
     def test_preserves_id_order(self):
         mobility = StaticMobility([(0.0, 0.0)] + [(float(i), 0.0) for i in range(1, 9)])
-        index = SpatialNeighborIndex(mobility, tx_range=250.0)
-        ids = np.array([3, 1, 7, 2], dtype=np.int64)
-        assert index.filter_in_range(ids, 0.0, 0.0, 0.0).tolist() == [3, 1, 7, 2]
+        assert mobility.within([3, 1, 7, 2], 0.0, 0.0, 0.0, 250.0, skip=0) == [3, 1, 7, 2]
+        assert mobility.within([3, 1, 7, 2], 0.0, 0.0, 0.0, 250.0, skip=7) == [3, 1, 2]
 
 
 class TestRebuildPolicy:
     def test_lazy_rebuild_on_quantum(self):
         mobility = RandomWaypointMobility(n_nodes=10, rng=random.Random(8))
         index = SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=1.0)
-        index.neighbors(0, 0.0)
-        index.neighbors(1, 0.5)
+        index.neighbors(0, 0.0, 10)
+        index.neighbors(1, 0.5, 10)
         assert index.rebuilds == 1  # within the quantum: snapshot reused
-        index.neighbors(2, 1.6)
+        index.neighbors(2, 1.6, 10)
         assert index.rebuilds == 2
 
     def test_version_bump_invalidates(self):
         """A teleport must invalidate the snapshot immediately."""
         mobility = StaticMobility([(0.0, 0.0), (100.0, 0.0), (600.0, 0.0)])
         index = SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=10.0)
-        assert index.neighbors(0, 0.0) == [1]
+        assert index.neighbors(0, 0.0, 3) == [1]
         mobility.move(2, (50.0, 0.0))
-        assert index.neighbors(0, 0.1) == [1, 2]
+        assert index.neighbors(0, 0.1, 3) == [1, 2]
+
+    def test_attached_count_change_invalidates(self):
+        """A node attached mid-snapshot is a candidate from the next query."""
+        mobility = StaticMobility([(0.0, 0.0), (100.0, 0.0), (50.0, 0.0)])
+        index = SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=10.0)
+        assert index.neighbors(0, 0.0, 2) == [1]
+        assert index.neighbors(0, 0.1, 3) == [1, 2]
+        assert index.rebuilds == 2
 
     def test_cell_size_covers_drift(self):
         mobility = RandomWaypointMobility(n_nodes=5, rng=random.Random(0), max_speed=20.0)
@@ -146,40 +180,35 @@ class TestRebuildPolicy:
 
     def test_rejects_bad_parameters(self):
         mobility = StaticMobility([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(ValueError):
-            SpatialNeighborIndex(mobility, tx_range=0.0)
-        with pytest.raises(ValueError):
-            SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=-1.0)
+        for tx_range in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tx_range"):
+                SpatialNeighborIndex(mobility, tx_range=tx_range)
+        for quantum in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="rebuild_quantum"):
+                SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=quantum)
 
 
 class TestMediumFallback:
-    def test_partial_stack_uses_naive_scan(self):
-        """Fewer attached nodes than mobility knows => naive scan."""
-        sim = Simulator(seed=0)
-        mobility = RandomWaypointMobility(n_nodes=10, rng=sim.rng)
-        medium = WirelessMedium(sim, mobility, use_index=True)
-        recorder = TraceRecorder(3)
-        for i in range(3):
-            Node(i, sim, medium, recorder[i])
-        assert not medium._index_usable()
-        assert isinstance(medium.neighbors(0), list)
+    """The medium around its one index: partial stacks and listeners."""
 
-    def test_default_index_follows_the_cutoff(self):
-        """The index is built from SMALL_N_CUTOFF nodes up, unless forced."""
-        for n_nodes, expect_index in ((SMALL_N_CUTOFF - 1, False), (SMALL_N_CUTOFF, True)):
-            sim = Simulator(seed=0)
-            mobility = RandomWaypointMobility(n_nodes=n_nodes, rng=sim.rng)
-            assert (WirelessMedium(sim, mobility).index is not None) == expect_index
-            assert WirelessMedium(sim, mobility, use_index=False).index is None
+    def test_partial_stack_matches_naive_scan(self):
+        """Fewer attached nodes than mobility knows: the grid holds only
+        the attached ids and answers what the scan answers."""
+        sim_a, _, medium_a = build_stack(10, seed=0, attached=3)
+        sim_b, _, medium_b = build_stack(10, seed=0, attached=3)
+        for t, node in query_stream(50, 3, seed=1, max_step=40.0):
+            sim_a.now = sim_b.now = t
+            assert medium_a.neighbors(node) == scan_neighbors(medium_b, node)
+            assert sim_a.rng.getstate() == sim_b.rng.getstate()
 
     def test_promiscuous_registry_tracks_setter(self):
         sim = Simulator(seed=0)
         mobility = RandomWaypointMobility(n_nodes=3, rng=sim.rng)
-        medium = WirelessMedium(sim, mobility, use_index=True)
+        medium = WirelessMedium(sim, mobility)
         recorder = TraceRecorder(3)
         nodes = [Node(i, sim, medium, recorder[i]) for i in range(3)]
-        assert medium._promiscuous_ids.size == 0
+        assert medium._promiscuous == set()
         nodes[1].promiscuous = True
-        assert medium._promiscuous_ids.tolist() == [1]
+        assert medium._promiscuous == {1}
         nodes[1].promiscuous = False
-        assert medium._promiscuous_ids.size == 0
+        assert medium._promiscuous == set()

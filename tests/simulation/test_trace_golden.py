@@ -1,4 +1,4 @@
-"""Golden trace digests for a seeded corpus on both sides of the index cutoff.
+"""Golden trace digests for a seeded corpus from 20 to 100 nodes.
 
 Each case runs one seeded scenario and compares a digest of its complete
 trace with a pinned value, so any behaviour change in the simulator —
@@ -7,16 +7,14 @@ mobility, traffic — fails here first.
 
 The corpus:
 
-* 20 nodes, 60 s (the paper's evaluation condition, below
-  ``SMALL_N_CUTOFF``: the naive neighbour scan): AODV, DSR and OLSR with
-  no attack and with a black hole, one lossy AODV run and one DSR/TCP
-  run;
+* 20 nodes, 60 s (the paper's evaluation condition): AODV, DSR and OLSR
+  with no attack and with a black hole, one lossy AODV run and one
+  DSR/TCP run;
 * 30 nodes, 60 s: AODV, DSR and OLSR with no attack and with a black
   hole;
-* 100 nodes, 12 s (above the cutoff: the grid index, the batched fan-out
-  at full size and the flattened routing handlers): AODV under packet
-  dropping, DSR under a black hole (promiscuous taps) and OLSR under
-  packet dropping;
+* 100 nodes, 12 s (the grid index, the batched fan-out at full size and
+  the flattened routing handlers): AODV under packet dropping, DSR under
+  a black hole (promiscuous taps) and OLSR under packet dropping;
 * a lossy 64-node AODV run (loss culls batch entries mid-draw, over grid
   neighbour lists) and a 25-node DSR/TCP run (TCP feedback amplifies any
   RNG drift).
@@ -56,7 +54,7 @@ from repro.simulation.scenario import ScenarioConfig, SimulationTrace, run_scena
 
 #: 20 nodes: the paper's evaluation condition.
 PAPER = dict(n_nodes=20, duration=60.0, max_connections=20, seed=7)
-#: 30 nodes: still below the cutoff, a denser flood fan-out.
+#: 30 nodes: a denser flood fan-out.
 MID = dict(n_nodes=30, duration=60.0, max_connections=20, seed=11)
 #: 100 nodes: the scale where the grid index actually prunes.
 LARGE = dict(n_nodes=100, duration=12.0, max_connections=30, seed=23)
