@@ -19,14 +19,25 @@ testbed of one; the benchmark plan below is scaled down (16 nodes, 600 s)
 so the full suite finishes on one laptop CPU.  The reproduction targets
 the *shapes* — who wins, what separates, where the orderings fall — not
 the paper's absolute digits; `EXPERIMENTS.md` records both.
+
+The timing modules (simulator/model scaling, fleet throughput,
+attribution) record their rows as ``BENCH_<suite>.json`` payloads through
+the helpers at the bottom: quick CI-scale workloads by default,
+``REPRO_BENCH_FULL=1`` for the full workloads behind the committed files,
+``REPRO_BENCH_WRITE=1`` to rewrite those files at the repo root.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.eval.experiments import ExperimentPlan, four_scenarios
 from repro.runtime import Session
 
@@ -81,3 +92,48 @@ def print_header(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
+
+
+def _switch(name: str) -> bool:
+    return os.environ.get(name, "0") not in ("0", "false", "")
+
+
+#: Quick CI-scale workloads unless ``REPRO_BENCH_FULL=1``.
+QUICK = not _switch("REPRO_BENCH_FULL")
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_entry(name: str, baseline: float, optimized: float, **meta) -> dict:
+    """One comparative record; speedup is baseline over optimized."""
+    return {
+        "name": name,
+        "baseline_seconds": round(baseline, 4),
+        "optimized_seconds": round(optimized, 4),
+        "speedup": round(baseline / optimized, 2) if optimized > 0 else float("inf"),
+        **meta,
+    }
+
+
+def bench_payload(suite: str, entries: list[dict], **meta) -> dict:
+    """A suite's records plus the environment they were measured in."""
+    return {
+        "suite": suite,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "repro_version": repro.__version__,
+        },
+        "entries": entries,
+        **meta,
+    }
+
+
+def write_bench(payload: dict, name: str) -> None:
+    """Under ``REPRO_BENCH_WRITE=1``, rewrite ``BENCH_<name>.json`` as
+    stable, diff-friendly JSON."""
+    if _switch("REPRO_BENCH_WRITE"):
+        with open(REPO_ROOT / f"BENCH_{name}.json", "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -15,6 +15,8 @@ batch score matrix and the sequential baseline's scores.
 The sequential baseline is intensive — per-window cost does not depend
 on N — so at large N it is measured on a capped number of windows and
 extrapolated to the full workload (reported as such).
+
+``REPRO_BENCH_WRITE=1`` records the rows as ``BENCH_fleet.json``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ import numpy as np
 
 from repro.stream import FleetDetector, OnlineDetector, extractor_for_config, replay_trace
 
-from benchmarks.conftest import BENCH_PLAN, RUNTIME, print_header
+from benchmarks.conftest import (
+    BENCH_PLAN,
+    RUNTIME,
+    bench_entry,
+    bench_payload,
+    print_header,
+    write_bench,
+)
 
 #: Same condition as test_stream_throughput: the simulate + fit setup is
 #: shared through the session cache and stays outside every timed region.
@@ -111,7 +120,7 @@ def test_fleet_throughput_scales_past_sequential():
     detector = RUNTIME.fitted_detector(PLAN, classifier="c45")
 
     print_header("Fleet multiplexing: batched pipeline vs N sequential detectors")
-    speedups = {}
+    speedups, entries = {}, []
     for n_streams in STREAM_COUNTS:
         fleet, fleet_s = _fleet_run(detector, rows, n_streams)
         _assert_fleet_identical(detector, fleet, rows, n_streams)
@@ -127,6 +136,11 @@ def test_fleet_throughput_scales_past_sequential():
 
         total = n_streams * len(rows)
         speedups[n_streams] = baseline_s / fleet_s
+        entries.append(bench_entry(
+            f"fleet/{n_streams}streams", baseline_s, fleet_s, kind="multiplex",
+            n_streams=n_streams, windows=total, baseline_extrapolated=extrapolated,
+            identity="per-stream scores bit-identical to the batch matrix",
+        ))
         note = " (extrapolated)" if extrapolated else ""
         print(f"  N={n_streams:5d}: {total:6d} windows  "
               f"sequential {baseline_s:8.3f}s{note}  fleet {fleet_s:7.3f}s  "
@@ -135,6 +149,7 @@ def test_fleet_throughput_scales_past_sequential():
               f"mean batch {fleet.result().mean_batch_size:.0f})")
 
     assert speedups[1024] >= MIN_SPEEDUP_AT_1024
+    write_bench(bench_payload("fleet", entries, n_features=len(rows[0].features)), "fleet")
 
 
 def test_single_stream_fleet_matches_online_detector():

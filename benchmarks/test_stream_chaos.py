@@ -15,9 +15,9 @@ recorded workload as test_stream_throughput:
   fleet over the same traces.
 
 Counters and equality (not clocks) carry the assertions; wall-clock and
-the survival summary are printed for the record.  The quick CI variant
-of the same contract lives in ``repro.runtime.bench.run_stream_chaos_bench``
-(``python -m repro bench --suite stream-chaos``).
+the survival summary are printed for the record.  Tier-1 checks the same
+contracts on small traces in ``tests/stream/test_durability.py``
+(``TestStreamResume``, ``TestFleetResume``).
 """
 
 from __future__ import annotations

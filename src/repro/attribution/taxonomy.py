@@ -32,8 +32,8 @@ to the alarm's top features.  All thresholds live in module constants
 with their rationale attached.  The variant vectors below are
 hand-rounded trailing-window activity centroids profiled per attack ×
 protocol at the ``BENCH_PLAN`` scale (20 nodes, 1000 s, seeds 11-13/41)
-— re-run ``python -m repro bench --suite attribution`` after editing
-them.
+— re-run the full ``benchmarks/test_attribution.py`` suite
+(``REPRO_BENCH_FULL=1``) after editing them.
 """
 
 from __future__ import annotations

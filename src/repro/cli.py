@@ -376,55 +376,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suites and write BENCH_*.json files."""
-    import os
-
-    from repro.runtime.bench import (
-        run_attribution_bench,
-        run_fleet_bench,
-        run_model_bench,
-        run_simulator_bench,
-        run_stream_chaos_bench,
-        write_bench,
-    )
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    rc = 0
-    suites = []
-    if args.suite in ("simulator", "all"):
-        suites.append(("simulator", run_simulator_bench))
-    if args.suite in ("model", "all"):
-        suites.append(("model", run_model_bench))
-    if args.suite in ("fleet", "all"):
-        suites.append(("fleet", run_fleet_bench))
-    if args.suite in ("stream-chaos", "all"):
-        suites.append(("stream_chaos", run_stream_chaos_bench))
-    if args.suite == "attribution":
-        suites.append(("attribution", run_attribution_bench))
-    for name, runner in suites:
-        print(f"benchmarking {name} ({'quick' if args.quick else 'full'}) ...")
-        kwargs = {"quick": args.quick}
-        if name == "simulator" and args.profile:
-            kwargs["profile"] = True
-        payload = runner(**kwargs)
-        for entry in payload["entries"]:
-            if "seconds" in entry:
-                print(f"  {entry['name']:32s} {entry['seconds']:8.3f}s  "
-                      f"({entry['trace_events']} trace events)")
-            else:
-                print(f"  {entry['name']:32s} {entry['baseline_seconds']:8.3f}s -> "
-                      f"{entry['optimized_seconds']:8.3f}s  ({entry['speedup']:.2f}x)")
-            if entry.get("profile_top"):
-                from repro.runtime.profiling import render_profile
-
-                print(render_profile(entry["profile_top"], indent="    "))
-        path = os.path.join(args.out_dir, f"BENCH_{name}.json")
-        write_bench(payload, path)
-        print(f"  written to {path}")
-    return rc
-
-
 def cmd_illustrate(args: argparse.Namespace) -> int:
     """Print the paper's two-node worked example (Table 3)."""
     from repro.core.illustrative import TwoNodeExample
@@ -539,26 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
                        default="mixed")
     p_rep.set_defaults(func=cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench", help="measure the kernel/model fast paths, write BENCH_*.json"
-    )
-    p_bench.add_argument("--suite",
-                         choices=["simulator", "model", "fleet",
-                                  "stream-chaos", "attribution", "all"],
-                         default="all",
-                         help="'attribution' runs the attack-taxonomy "
-                              "classification harness (its own CI leg; not "
-                              "part of 'all')")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-scale workloads (seconds instead of minutes)")
-    p_bench.add_argument("--out-dir", default=".", metavar="DIR",
-                         help="directory for the BENCH_*.json files (default: .)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="profile one more run per end-to-end "
-                              "simulator row and print/record the cProfile "
-                              "top-N cumulative table")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_ill = sub.add_parser("illustrate", help="print the paper's §3 example")
     p_ill.set_defaults(func=cmd_illustrate)

@@ -23,6 +23,7 @@ raises :class:`ImportError` with the migration hint.)
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -81,6 +82,12 @@ class ExperimentPlan:
                 f"n_nodes must be >= 2 (got {self.n_nodes}): a condition "
                 "needs at least a monitor and a distinct attacker"
             )
+        # Negated comparisons, so NaN fails them too: a bad plan fails
+        # here, before any trace is simulated.
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
+        if not 0 <= self.warmup < math.inf:
+            raise ValueError(f"warmup must be non-negative and finite, got {self.warmup!r}")
         if self.attack_kind not in ATTACK_KINDS:
             raise ValueError(f"attack_kind must be one of {ATTACK_KINDS}")
         if self.monitor == self.attacker:

@@ -24,24 +24,10 @@
 * :class:`~repro.runtime.metrics.RuntimeMetrics` /
   :class:`~repro.runtime.metrics.TraceEvent` — timing, hit/miss and
   supervision counters plus the live progress hook;
-* :func:`~repro.runtime.bench.run_simulator_bench` /
-  :func:`~repro.runtime.bench.run_model_bench` /
-  :func:`~repro.runtime.bench.run_fleet_bench` /
-  :func:`~repro.runtime.bench.run_stream_chaos_bench` /
-  :func:`~repro.runtime.bench.run_attribution_bench` — the benchmark
-  harness behind ``python -m repro bench`` and the committed
-  ``BENCH_*.json`` baselines.
+* :class:`~repro.runtime.profiling.StageProfiler` — one cProfile table
+  per pipeline stage behind ``Session(profile_stages=True)``.
 """
 
-from repro.runtime.bench import (
-    ATTRIBUTION_ACCURACY_FLOOR,
-    run_attribution_bench,
-    run_fleet_bench,
-    run_model_bench,
-    run_simulator_bench,
-    run_stream_chaos_bench,
-    write_bench,
-)
 from repro.runtime.cache import (
     ArtifactCache,
     ResumeJournal,
@@ -62,7 +48,6 @@ from repro.runtime.metrics import RuntimeMetrics, TraceEvent
 from repro.runtime.session import Session, default_session, set_default_session
 
 __all__ = [
-    "ATTRIBUTION_ACCURACY_FLOOR",
     "ArtifactCache",
     "FailureReport",
     "FaultPlan",
@@ -80,12 +65,6 @@ __all__ = [
     "code_version",
     "default_cache_dir",
     "default_session",
-    "run_attribution_bench",
-    "run_fleet_bench",
-    "run_model_bench",
-    "run_simulator_bench",
-    "run_stream_chaos_bench",
     "set_default_session",
     "stable_key",
-    "write_bench",
 ]

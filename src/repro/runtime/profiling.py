@@ -1,23 +1,16 @@
 """Profiling observability: cProfile capture + compact top-N tables.
 
-Two consumers (see DESIGN.md §Routing handlers — every shortfall
-analysis in this repo's performance PRs started from exactly this
-table):
-
-* ``python -m repro bench --profile`` — the simulator bench suite
-  profiles one more run per end-to-end row and attaches the
-  top-N cumulative table to the row's JSON entry (and the CLI prints
-  it), so "where did the time go at aodv/200" is one flag away instead
-  of an ad-hoc script;
-* :class:`StageProfiler` — the :class:`~repro.runtime.session.Session`
-  stage hook.  ``Session(profile_stages=True)`` (or
-  ``$REPRO_PROFILE_STAGES=1``) wraps every timed pipeline stage
-  (``simulate`` / ``extract`` / ``fit`` / ``stream`` / ``fleet``) in a
-  profiler and keeps one table per stage name.
+:class:`StageProfiler` is the :class:`~repro.runtime.session.Session`
+stage hook.  ``Session(profile_stages=True)`` (or
+``$REPRO_PROFILE_STAGES=1``) wraps every timed pipeline stage
+(``simulate`` / ``extract`` / ``fit`` / ``stream`` / ``fleet``) in a
+profiler and keeps one table per stage name.  Per-module self time of a
+whole run comes from the repository benchmark instead
+(``python -m bench.run --trace 1``).
 
 Tables are returned as plain data (list of per-function dicts) so they
-can ride JSON payloads; :func:`render_profile` turns one into the
-aligned text the CLI prints.
+can ride JSON payloads; :func:`render_profile` turns one into aligned
+text.
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ from __future__ import annotations
 import cProfile
 import pstats
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 #: Default number of functions per table — enough to see past the run
 #: loop into the handler/medium/mobility split without scrolling.
@@ -75,21 +68,6 @@ def render_profile(rows: list[dict], indent: str = "  ") -> str:
             f"{r['cumulative_seconds']:9.3f}  {r['function']}"
         )
     return "\n".join(lines)
-
-
-def profile_call(fn: Callable, *args, top: int = DEFAULT_TOP, **kwargs):
-    """Run ``fn(*args, **kwargs)`` under cProfile.
-
-    Returns ``(result, rows)`` where ``rows`` is the
-    :func:`profile_top` table of the call.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        profiler.disable()
-    return result, profile_top(profiler, top)
 
 
 class StageProfiler:

@@ -53,6 +53,10 @@ import random
 #: difference.
 _BOUNDARY_REL = 1e-12
 
+#: Default lower speed bound (m/s), kept strictly positive as in
+#: ``setdest`` so every leg terminates.
+MIN_SPEED = 0.5
+
 
 class RandomWaypointMobility:
     """Random-waypoint mobility for a set of nodes.
@@ -78,14 +82,20 @@ class RandomWaypointMobility:
         n_nodes: int,
         area: tuple[float, float] = (1000.0, 1000.0),
         max_speed: float = 20.0,
-        min_speed: float = 0.5,
+        min_speed: float = MIN_SPEED,
         pause_time: float = 10.0,
         rng: random.Random | None = None,
     ):
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-        if min_speed <= 0 or max_speed < min_speed:
-            raise ValueError("require 0 < min_speed <= max_speed")
+        # Negated comparisons, so NaN fails them too.
+        if not 0 < min_speed <= max_speed < math.inf:
+            raise ValueError(
+                f"require 0 < min_speed <= max_speed < inf "
+                f"(got min_speed={min_speed!r}, max_speed={max_speed!r})"
+            )
+        if not pause_time >= 0:
+            raise ValueError(f"pause_time must be non-negative, got {pause_time!r}")
         self.n_nodes = n_nodes
         self.area = area
         self.max_speed = max_speed

@@ -14,13 +14,14 @@ velocity samples and the attack ground truth.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.simulation.engine import Simulator
 from repro.simulation.medium import WirelessMedium
-from repro.simulation.mobility import RandomWaypointMobility
+from repro.simulation.mobility import MIN_SPEED, RandomWaypointMobility
 from repro.simulation.node import Node
 from repro.simulation.stats import TraceRecorder
 
@@ -66,8 +67,22 @@ class ScenarioConfig:
             raise ValueError(f"unknown transport: {self.transport!r}")
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        # Negated comparisons, so NaN fails them too.
+        for name in ("duration", "tx_range", "traffic_rate", "sampling_period"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not MIN_SPEED <= self.max_speed < math.inf:
+            raise ValueError(
+                f"max_speed must be finite and at least the mobility model's "
+                f"{MIN_SPEED} m/s minimum, got {self.max_speed!r}"
+            )
+        if not 0 <= self.pause_time < math.inf:
+            raise ValueError(
+                f"pause_time must be non-negative and finite, got {self.pause_time!r}"
+            )
+        if not 0 <= self.loss_rate <= 1:
+            raise ValueError(f"loss_rate must lie in [0, 1], got {self.loss_rate!r}")
 
 
 @dataclass

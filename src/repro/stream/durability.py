@@ -9,8 +9,8 @@ to disk at deterministic instants, and a process killed at **any** point
 can restore the latest snapshot and replay the remaining events to a
 :class:`~repro.stream.detector.StreamResult` whose scores, alarms and
 fused verdicts are ``np.array_equal`` to the uninterrupted run's
-(asserted by ``tests/stream/test_durability.py`` and re-checked
-in-harness by ``repro bench --suite stream-chaos``).
+(asserted by ``tests/stream/test_durability.py`` and re-checked at
+benchmark scale by ``benchmarks/test_stream_chaos.py``).
 
 Checkpoint file format (version 2)::
 

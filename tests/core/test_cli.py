@@ -34,10 +34,9 @@ class TestParser:
         assert args.quorum == "1"
         assert args.classifier == "c45"
 
-    def test_bench_fleet_suite_accepted(self):
-        args = build_parser().parse_args(["bench", "--suite", "fleet", "--quick"])
-        assert args.suite == "fleet"
-        assert args.quick is True
+    def test_bench_subcommand_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--suite", "fleet", "--quick"])
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(SystemExit):

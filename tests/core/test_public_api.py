@@ -136,6 +136,33 @@ class TestTopLevelApi:
         for name in stream.__all__:
             assert hasattr(stream, name), name
 
+    def test_runtime_import_surface_is_exact(self):
+        import repro.runtime as runtime
+
+        assert runtime.__all__ == [
+            "ArtifactCache",
+            "FailureReport",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFault",
+            "PoolFailure",
+            "ResumeJournal",
+            "RuntimeMetrics",
+            "Session",
+            "SupervisionPolicy",
+            "TaskFailure",
+            "TraceEvent",
+            "TraceExecutor",
+            "TraceTask",
+            "code_version",
+            "default_cache_dir",
+            "default_session",
+            "set_default_session",
+            "stable_key",
+        ]
+        for name in runtime.__all__:
+            assert hasattr(runtime, name), name
+
     def test_subpackage_apis(self):
         from repro.attacks import (BlackholeAttack, ImpersonationAttack,
                                    PacketDroppingAttack, UpdateStormAttack)

@@ -1,5 +1,6 @@
 """Experiment-plan and pipeline tests (small scale)."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,14 @@ class TestPlan:
     def test_unknown_attack_kind_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(attack_kind="teleport")
+
+    @pytest.mark.parametrize("field, value", [
+        *[("duration", bad) for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)],
+        *[("warmup", bad) for bad in (math.nan, math.inf, -math.inf, -1.0)],
+    ])
+    def test_bad_numeric_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentPlan(**{field: value})
 
     def test_plans_hashable_for_caching(self):
         assert hash(SMALL_PLAN) == hash(replace(SMALL_PLAN))

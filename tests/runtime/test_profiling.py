@@ -1,16 +1,11 @@
-"""Unit tests for the profiling observability layer (bench --profile
-tables and the :class:`Session` stage hook)."""
+"""Unit tests for the profiling observability layer (top-N tables and
+the :class:`Session` stage hook)."""
 
 import cProfile
 
 import pytest
 
-from repro.runtime.profiling import (
-    StageProfiler,
-    profile_call,
-    profile_top,
-    render_profile,
-)
+from repro.runtime.profiling import StageProfiler, profile_top, render_profile
 from repro.runtime.session import Session
 
 
@@ -18,15 +13,23 @@ def _busy(n=50_000):
     return sum(range(n))
 
 
+def _profiled_rows(**kwargs):
+    profiler = cProfile.Profile()
+    profiler.enable()
+    _busy()
+    profiler.disable()
+    return profile_top(profiler, **kwargs)
+
+
 class TestProfileTop:
     def test_rows_sorted_by_cumulative(self):
-        _result, rows = profile_call(_busy)
+        rows = _profiled_rows()
         assert rows, "profile produced no rows"
         cums = [r["cumulative_seconds"] for r in rows]
         assert cums == sorted(cums, reverse=True)
 
     def test_row_shape(self):
-        _result, rows = profile_call(_busy)
+        rows = _profiled_rows()
         for row in rows:
             assert set(row) == {
                 "function", "ncalls", "primitive_calls",
@@ -35,20 +38,12 @@ class TestProfileTop:
             assert row["ncalls"] >= row["primitive_calls"] >= 1
 
     def test_top_truncates(self):
-        profiler = cProfile.Profile()
-        profiler.enable()
-        _busy()
-        profiler.disable()
-        assert len(profile_top(profiler, top=2)) <= 2
-
-    def test_profile_call_returns_result(self):
-        result, _rows = profile_call(_busy, 10)
-        assert result == sum(range(10))
+        assert len(_profiled_rows(top=2)) <= 2
 
 
 class TestRenderProfile:
     def test_render_is_aligned_text(self):
-        _result, rows = profile_call(_busy)
+        rows = _profiled_rows()
         text = render_profile(rows)
         lines = text.splitlines()
         assert "function" in lines[0] and "cum(s)" in lines[0]
@@ -56,10 +51,10 @@ class TestRenderProfile:
         assert len(lines) == 1 + len(rows)
 
     def test_render_json_round_trip(self):
-        """Rows survive a JSON round trip (they ride BENCH payloads)."""
+        """Rows survive a JSON round trip (they ride JSON payloads)."""
         import json
 
-        _result, rows = profile_call(_busy)
+        rows = _profiled_rows()
         assert json.loads(json.dumps(rows)) == rows
 
 

@@ -70,6 +70,13 @@ class TestRandomWaypoint:
             RandomWaypointMobility(n_nodes=2, min_speed=0.0)
         with pytest.raises(ValueError):
             RandomWaypointMobility(n_nodes=2, min_speed=5.0, max_speed=1.0)
+        for min_speed, max_speed in ((math.nan, math.nan), (math.nan, 20.0),
+                                     (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="max_speed"):
+                RandomWaypointMobility(n_nodes=2, min_speed=min_speed, max_speed=max_speed)
+        for pause_time in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="pause_time"):
+                RandomWaypointMobility(n_nodes=2, pause_time=pause_time)
 
 
 class TestStaticMobility:

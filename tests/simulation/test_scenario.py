@@ -1,5 +1,7 @@
 """Scenario assembly tests: configuration, determinism, trace invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ class TestConfigValidation:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        *[(name, bad)
+          for name in ("duration", "tx_range", "traffic_rate", "sampling_period")
+          for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)],
+        *[("max_speed", bad) for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.4)],
+        *[("pause_time", bad) for bad in (math.nan, math.inf, -math.inf, -5.0)],
+        *[("loss_rate", bad) for bad in (math.nan, math.inf, -math.inf, -0.1, 2.0)],
+    ])
+    def test_bad_numeric_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("loss_rate", 0.0), ("loss_rate", 1.0), ("max_speed", 0.5),
+        ("pause_time", 0.0), ("pause_time", 1e9), ("tx_range", 1e-3),
+    ])
+    def test_edge_of_range_accepted(self, field, value):
+        assert getattr(ScenarioConfig(**{field: value}), field) == value
 
 
 class TestRunScenario:
