@@ -24,9 +24,8 @@ raises :class:`ImportError` with the migration hint.)
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -273,7 +272,13 @@ class DetectionResult:
         return recall, precision
 
 
-def run_detection_experiment(
+def check_classifier(classifier: str) -> None:
+    """Reject a sub-model learner name that :data:`~repro.ml.CLASSIFIERS` lacks."""
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {classifier!r}; have {sorted(CLASSIFIERS)}")
+
+
+def fit_detector(
     bundle: TraceBundle,
     classifier: str = "c45",
     method: str = "calibrated_probability",
@@ -281,21 +286,18 @@ def run_detection_experiment(
     max_models: int | None = None,
     n_buckets: int = 5,
     n_jobs: int | None = 1,
-    stage_hook: Callable[[str, float], None] | None = None,
-) -> DetectionResult:
-    """Train the detector on the bundle's normal traces and evaluate it.
+) -> CrossFeatureDetector:
+    """Build the detector, train it on the bundle's normal traces and
+    calibrate its threshold on the held-out calibration trace.
 
     ``method`` defaults to the reproduction's calibrated scoring (see
     :mod:`repro.core.model`); pass ``"avg_probability"`` /
     ``"match_count"`` for the paper's verbatim Algorithms 3 / 2.
     ``n_jobs`` threads the L independent sub-model fits and scoring
     passes (``None``/``0`` = one per CPU); results are identical for
-    any value.  ``stage_hook(stage, seconds)`` receives the ``fit`` and
-    ``score`` wall-clocks (the Session routes it into
-    :meth:`RuntimeMetrics.record_stage`).
+    any value.
     """
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier {classifier!r}; have {sorted(CLASSIFIERS)}")
+    check_classifier(classifier)
     detector = CrossFeatureDetector(
         classifier_factory=CLASSIFIERS[classifier],
         method=method,
@@ -304,16 +306,18 @@ def run_detection_experiment(
         n_buckets=n_buckets,
         n_jobs=n_jobs,
     )
-    t0 = time.perf_counter()
-    detector.fit(
+    return detector.fit(
         bundle.train.X,
         feature_names=bundle.train.feature_names,
         calibration_X=bundle.calibration.X,
     )
-    if stage_hook is not None:
-        stage_hook("fit", time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
+
+def evaluate_detector(
+    detector: CrossFeatureDetector, bundle: TraceBundle, classifier: str
+) -> DetectionResult:
+    """Score every evaluation trace of the bundle with a fitted detector;
+    ``classifier`` names its learner in the result."""
     series = []
     scores_parts, labels_parts = [], []
     for kind, datasets in (("normal", bundle.normal_evals), ("abnormal", bundle.abnormal_evals)):
@@ -324,14 +328,12 @@ def run_detection_experiment(
             labels_parts.append(ds.labels)
     scores = np.concatenate(scores_parts)
     labels = np.concatenate(labels_parts)
-    if stage_hook is not None:
-        stage_hook("score", time.perf_counter() - t0)
 
     curve = precision_recall_curve(scores, labels)
     return DetectionResult(
         plan=bundle.plan,
         classifier=classifier,
-        method=method,
+        method=detector.method,
         threshold=float(detector.threshold_),
         curve=curve,
         auc=area_above_diagonal(curve),
@@ -340,6 +342,23 @@ def run_detection_experiment(
         labels=labels,
         series=series,
     )
+
+
+def run_detection_experiment(
+    bundle: TraceBundle,
+    classifier: str = "c45",
+    method: str = "calibrated_probability",
+    false_alarm_rate: float = 0.02,
+    max_models: int | None = None,
+    n_buckets: int = 5,
+    n_jobs: int | None = 1,
+) -> DetectionResult:
+    """Train the detector on the bundle's normal traces and evaluate it
+    (:func:`fit_detector`, then :func:`evaluate_detector`)."""
+    detector = fit_detector(
+        bundle, classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs
+    )
+    return evaluate_detector(detector, bundle, classifier)
 
 
 # ----------------------------------------------------------------------

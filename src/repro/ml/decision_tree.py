@@ -117,6 +117,32 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """``-sum(p * log2 p)`` over the positive entries of every last-axis row.
+
+    Each row gets the bits of ``np.sum`` over its compacted positive
+    terms, which is how :func:`_entropy` sums.  numpy adds fewer than 8
+    terms in sequence from 0.0, so a ``cumsum`` over the zero-padded row
+    reproduces it (exact zeros are additive identities).  From 8 terms
+    on numpy sums pairwise: 8 strided partial sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the tail in order, and
+    recursive halving above 128 terms.  Rows with 8 or more positive
+    entries are therefore compacted and summed by numpy itself, one
+    ``(rows, k)`` block per count ``k`` of positive terms.
+    """
+    pos = p > 0
+    logp = np.zeros_like(p)
+    np.log2(p, where=pos, out=logp)
+    terms = p * logp
+    out = -terms.cumsum(axis=-1)[..., -1]
+    if p.shape[-1] >= 8:
+        n_pos = pos.sum(axis=-1)
+        for k in np.unique(n_pos[n_pos >= 8]):
+            rows = n_pos == k
+            out[rows] = -terms[rows][pos[rows]].reshape(-1, k).sum(axis=-1)
+    return out
+
+
 def trees_equal(a: _TreeNode | None, b: _TreeNode | None) -> bool:
     """Structural equality of two fitted trees.
 
@@ -189,48 +215,11 @@ class C45Classifier(CategoricalClassifier):
         """
         X, y = self._setup_fit(X, y)
         self._z = _z_value(self.cf)
-        if self._fast_fit_usable():
-            self.root_ = self._grow(X, y, np.arange(len(y)), depth=0,
-                                    root_tables=root_tables)
-        else:
-            self.root_ = self._grow_reference(X, y, np.arange(len(y)), depth=0)
+        self.root_ = self._grow(X, y, np.arange(len(y)), depth=0,
+                                root_tables=root_tables)
         if self.prune:
             self._prune_node(self.root_)
         return self
-
-    def _fit_reference(self, X: np.ndarray, y: np.ndarray) -> "C45Classifier":
-        """Reference fit (pre-vectorization growth path).
-
-        The oracle seam: the identity tests and the ``fit/`` benchmark
-        suite grow a guaranteed-reference tree through it to compare
-        against.
-        """
-        X, y = self._setup_fit(X, y)
-        self._z = _z_value(self.cf)
-        self.root_ = self._grow_reference(X, y, np.arange(len(y)), depth=0)
-        if self.prune:
-            self._prune_node(self.root_)
-        return self
-
-    def _fast_fit_usable(self) -> bool:
-        """Whether the vectorized split search is exact for this data.
-
-        The vectorized path computes every entropy / split-info sum
-        *sequentially* (via ``cumsum`` over zero-padded rows; exact zeros
-        are additive identities).  The reference path uses ``np.sum``
-        over compacted positive entries, which numpy evaluates
-        sequentially only below 8 elements — beyond that it switches to
-        pairwise summation with a different rounding order.  All sums in
-        the reference run over at most ``n_classes_`` (row entropy) or
-        ``max(n_values_)`` (split info / conditional entropy) terms, so
-        bit-identity is guaranteed whenever both stay below 8 — always
-        true for the paper's 5-bucket discretization (6 values with the
-        out-of-range bucket).  Larger cardinalities fall back to the
-        reference implementation.
-        """
-        if self.n_classes_ >= 8:
-            return False
-        return len(self.n_values_) == 0 or int(self.n_values_.max()) < 8
 
     def _class_counts(self, y_subset: np.ndarray) -> np.ndarray:
         return np.bincount(y_subset, minlength=self.n_classes_)
@@ -243,16 +232,18 @@ class C45Classifier(CategoricalClassifier):
         depth: int,
         root_tables: "list[np.ndarray] | None" = None,
     ) -> _TreeNode:
-        """Vectorized node growth — bit-identical to :meth:`_grow_reference`.
+        """Vectorized node growth, at any class or value count.
 
         Per node, ONE fused ``bincount`` builds the contingency
         histograms of every attribute at once (a ``(L, k_max, C)``
         tensor), entropies are computed row-wise over the whole tensor,
         and children are partitioned with a single stable argsort instead
         of one boolean scan per value.  Every floating-point reduction
-        mirrors the reference's operation order exactly (see
-        :meth:`_fast_fit_usable`), so split decisions — and therefore the
-        tree — are identical to the last bit.
+        keeps the operation order of the per-bucket walk
+        (``tests/ml/reference.py::ReferenceC45``): its ``np.sum`` calls
+        through :func:`_row_entropies`, its Python accumulations through
+        ``cumsum``.  Split decisions, and therefore the tree, are
+        identical to the last bit.
         """
         y_sub = y[idx]
         counts = self._class_counts(y_sub)
@@ -292,16 +283,10 @@ class C45Classifier(CategoricalClassifier):
         present = value_totals > 0
         n_present = present.sum(axis=1)                       # (L,)
 
-        # Row-wise entropy of every value row.  Padded / absent rows are
-        # all-zero and contribute exact zeros; cumsum keeps the
-        # summation sequential, matching the reference's np.sum over
-        # compacted entries (< 8 terms, see _fast_fit_usable).
+        # Row-wise entropy of every value row; padded / absent rows are
+        # all-zero and enter no sum.
         vt_safe = np.where(present, value_totals, 1)
-        p = hist / vt_safe[:, :, None]
-        pos = p > 0
-        logp = np.zeros_like(p)
-        np.log2(p, where=pos, out=logp)
-        row_ent = -(p * logp).cumsum(axis=2)[:, :, -1]        # (L, kmax)
+        row_ent = _row_entropies(hist / vt_safe[:, :, None])  # (L, kmax)
 
         # Conditional entropy: the reference accumulates
         # (value_total / n) * entropy(row) left to right over present
@@ -314,9 +299,7 @@ class C45Classifier(CategoricalClassifier):
         gain = base_entropy - cond                            # (L,)
 
         # Split info over the same weights (only present values enter).
-        logw = np.zeros_like(weights)
-        np.log2(weights, where=weights > 0, out=logw)
-        split_info = -(weights * logw).cumsum(axis=1)[:, -1]  # (L,)
+        split_info = _row_entropies(weights)                  # (L,)
 
         valid = (self.n_values_ > 1) & (n_present > 1) & (split_info > 0)
         if not valid.any():
@@ -348,60 +331,6 @@ class C45Classifier(CategoricalClassifier):
             node.children[int(sorted_col[s])] = self._grow(
                 X, y, sorted_idx[s:e], depth + 1
             )
-        return node
-
-    def _grow_reference(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> _TreeNode:
-        """Reference per-bucket growth (pre-vectorization behaviour)."""
-        y_sub = y[idx]
-        counts = self._class_counts(y_sub)
-        node = _TreeNode(counts=counts)
-        if (
-            len(idx) < self.min_samples_split
-            or (counts > 0).sum() <= 1
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
-
-        base_entropy = _entropy(counts)
-        n = float(len(idx))
-        best_attr, best_ratio = None, 0.0
-        gains: list[tuple[int, float, float]] = []
-        for attr in range(X.shape[1]):
-            col = X[idx, attr]
-            k = int(self.n_values_[attr])
-            if k <= 1:
-                continue
-            # Contingency table via one flat bincount.
-            table = np.bincount(col * self.n_classes_ + y_sub,
-                                minlength=k * self.n_classes_).reshape(k, self.n_classes_)
-            value_totals = table.sum(axis=1)
-            present = value_totals > 0
-            if present.sum() <= 1:
-                continue
-            cond = 0.0
-            for vt, row in zip(value_totals[present], table[present]):
-                cond += (vt / n) * _entropy(row)
-            gain = base_entropy - cond
-            p_v = value_totals[present] / n
-            split_info = float(-(p_v * np.log2(p_v)).sum())
-            if split_info <= 0:
-                continue
-            gains.append((attr, gain, gain / split_info))
-        if not gains:
-            return node
-        # Quinlan's guard: only attributes with at least average gain
-        # compete on gain ratio.
-        mean_gain = sum(g for _, g, _ in gains) / len(gains)
-        eligible = [t for t in gains if t[1] >= mean_gain - 1e-12]
-        best_attr, best_gain, best_ratio = max(eligible, key=lambda t: t[2])
-        if best_gain <= 1e-12:
-            return node
-
-        node.attr = best_attr
-        col = X[idx, best_attr]
-        for value in np.unique(col):
-            child_idx = idx[col == value]
-            node.children[int(value)] = self._grow_reference(X, y, child_idx, depth + 1)
         return node
 
     # ------------------------------------------------------------------

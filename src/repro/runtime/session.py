@@ -42,9 +42,11 @@ from repro.eval.experiments import (
     ExperimentPlan,
     RawTraces,
     TraceBundle,
+    check_classifier,
+    evaluate_detector,
     extract_bundle,
+    fit_detector,
     plan_sim_key,
-    run_detection_experiment,
 )
 from repro.runtime.cache import ArtifactCache, ResumeJournal, attack_signature
 from repro.runtime.executor import SupervisionPolicy, TraceExecutor, TraceTask
@@ -189,8 +191,8 @@ class Session:
         both the executor and the cache (deterministic chaos testing).
     profile_stages:
         ``True`` wraps every timed pipeline stage (``simulate`` /
-        ``extract`` / ``fit`` / ``stream`` / ``fleet``) in a cProfile
-        and collects one top-N cumulative table per stage on
+        ``extract`` / ``fit`` / ``score`` / ``stream`` / ``fleet``) in a
+        cProfile and collects one top-N cumulative table per stage on
         :attr:`profiler` (a :class:`~repro.runtime.profiling.
         StageProfiler`; ``session.profiler.render()`` prints them).
         ``None`` (default) reads ``$REPRO_PROFILE_STAGES``.
@@ -423,22 +425,21 @@ class Session:
     ) -> DetectionResult:
         """Full detection experiment on one plan (memoised per knob set).
 
+        Scores the evaluation traces with the detector
+        :meth:`fitted_detector` returns for the same knobs, timed as the
+        ``score`` stage (the precision/recall curve included).
         ``n_jobs`` threads the independent sub-model fits and scoring
         passes; it is deliberately absent from the memoisation key
         because results are identical for any value.
         """
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._results:
-            self._results[key] = run_detection_experiment(
-                self.bundle(plan),
-                classifier=classifier,
-                method=method,
-                false_alarm_rate=false_alarm_rate,
-                max_models=max_models,
-                n_buckets=n_buckets,
-                n_jobs=n_jobs,
-                stage_hook=self.metrics.record_stage,
+            detector = self.fitted_detector(
+                plan, classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs
             )
+            bundle = self.bundle(plan)
+            with self._stage("score"):
+                self._results[key] = evaluate_detector(detector, bundle, classifier)
         return self._results[key]
 
     def fitted_detector(
@@ -454,36 +455,22 @@ class Session:
         """A trained + calibrated detector for one plan (memoised per knob set).
 
         Trains on the plan's training traces and calibrates the decision
-        threshold on its held-out calibration trace, exactly as
-        :meth:`detect` does — but returns the fitted detector itself, for
-        online deployment (``n_jobs`` is excluded from the memo key;
-        results are identical for any value).
+        threshold on its held-out calibration trace
+        (:func:`~repro.eval.experiments.fit_detector`, timed as the
+        ``fit`` stage); :meth:`detect` scores this same detector.  An
+        unknown ``classifier`` fails before any simulation.  ``n_jobs``
+        is excluded from the memo key; results are identical for any
+        value.
         """
-        from repro.core.model import CrossFeatureDetector
-        from repro.ml import CLASSIFIERS
-
-        if classifier not in CLASSIFIERS:
-            raise ValueError(
-                f"unknown classifier {classifier!r}; have {sorted(CLASSIFIERS)}"
-            )
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._detectors:
+            check_classifier(classifier)
             bundle = self.bundle(plan)
-            detector = CrossFeatureDetector(
-                classifier_factory=CLASSIFIERS[classifier],
-                method=method,
-                false_alarm_rate=false_alarm_rate,
-                max_models=max_models,
-                n_buckets=n_buckets,
-                n_jobs=n_jobs,
-            )
             with self._stage("fit"):
-                detector.fit(
-                    bundle.train.X,
-                    feature_names=bundle.train.feature_names,
-                    calibration_X=bundle.calibration.X,
+                self._detectors[key] = fit_detector(
+                    bundle, classifier, method, false_alarm_rate, max_models,
+                    n_buckets, n_jobs,
                 )
-            self._detectors[key] = detector
         return self._detectors[key]
 
     def stream_detect(

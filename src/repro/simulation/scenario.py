@@ -68,18 +68,25 @@ class ScenarioConfig:
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         # Negated comparisons, so NaN fails them too.
-        for name in ("duration", "tx_range", "traffic_rate", "sampling_period"):
+        if len(self.area) != 2 or not all(0 < side < math.inf for side in self.area):
+            raise ValueError(f"area must be a pair of positive, finite sides, got {self.area!r}")
+        for name in ("duration", "tx_range", "traffic_rate", "sampling_period",
+                     "tcp_app_rate"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("pause_time", "traffic_start_window"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        for name, low in (("max_connections", 0), ("packet_size", 1)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not MIN_SPEED <= self.max_speed < math.inf:
             raise ValueError(
                 f"max_speed must be finite and at least the mobility model's "
                 f"{MIN_SPEED} m/s minimum, got {self.max_speed!r}"
-            )
-        if not 0 <= self.pause_time < math.inf:
-            raise ValueError(
-                f"pause_time must be non-negative and finite, got {self.pause_time!r}"
             )
         if not 0 <= self.loss_rate <= 1:
             raise ValueError(f"loss_rate must lie in [0, 1], got {self.loss_rate!r}")

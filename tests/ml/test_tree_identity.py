@@ -2,10 +2,12 @@
 
 The shared-pass / vectorized training paths may change how the fit is
 *computed*, never what it computes: the grown tree must match the
-reference implementation split for split, count for count — which
-implies bit-identical ``predict_proba``.  These tests exercise that
-contract over random categorical data, the degenerate shapes that break
-naive vectorizations, and the fallback / kill-switch paths.
+per-bucket oracle (``tests/ml/reference.py::ReferenceC45``) split for
+split, count for count — which implies bit-identical ``predict_proba``.
+These tests exercise that contract over random categorical data at 2 to
+24 classes and values (numpy's ``np.sum`` adds pairwise from 8 terms
+on, which the split search must reproduce), and the degenerate shapes
+that break naive vectorizations.
 """
 
 import numpy as np
@@ -14,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.decision_tree import C45Classifier, trees_equal
+from repro.ml.decision_tree import C45Classifier, _row_entropies, trees_equal
 from repro.ml.naive_bayes import NaiveBayesClassifier
-from tests.ml.reference import predict_proba_rowwise
+from tests.ml.reference import ReferenceC45, predict_proba_rowwise
 
 
 def _assert_identical_fits(fast: C45Classifier, ref: C45Classifier, X) -> None:
@@ -37,8 +39,8 @@ def _rng_dataset(rng, n, d, k_x, k_y, correlated=True):
 def categorical_dataset(draw):
     n = draw(st.integers(min_value=4, max_value=80))
     d = draw(st.integers(min_value=1, max_value=6))
-    k_x = draw(st.integers(min_value=1, max_value=6))
-    k_y = draw(st.integers(min_value=2, max_value=4))
+    k_x = draw(st.integers(min_value=1, max_value=20))
+    k_y = draw(st.integers(min_value=2, max_value=20))
     X = draw(arrays(np.int64, (n, d), elements=st.integers(0, k_x - 1)))
     y = draw(arrays(np.int64, (n,), elements=st.integers(0, k_y - 1)))
     return X, y
@@ -64,6 +66,24 @@ class TestC45Prediction:
             assert np.array_equal(clf.predict_proba(rows), predict_proba_rowwise(clf, rows))
 
 
+class TestRowEntropies:
+    def test_rows_match_np_sum_over_positive_terms(self):
+        """Widths 1-300 cover numpy's sequential (< 8 terms), 8-lane
+        (8-128) and recursive (> 128) summation, over 1- to 3-D leading
+        shapes with a random share of zero entries per width."""
+        rng = np.random.default_rng(5)
+        for width in range(1, 301):
+            lead = tuple(int(v) for v in rng.integers(1, 4, size=1 + width % 3))
+            p = rng.random(lead + (width,))
+            p[rng.random(p.shape) < rng.random()] = 0.0
+            got = _row_entropies(p)
+            want = np.empty(lead)
+            for i in np.ndindex(lead):
+                q = p[i][p[i] > 0]
+                want[i] = -np.sum(q * np.log2(q))
+            assert np.array_equal(got, want), f"width {width}, leading shape {lead}"
+
+
 class TestC45Identity:
     @given(data=categorical_dataset(),
            prune=st.booleans(),
@@ -73,7 +93,7 @@ class TestC45Identity:
     def test_vectorized_grow_matches_reference(self, data, prune, max_depth):
         X, y = data
         fast = C45Classifier(prune=prune, max_depth=max_depth).fit(X, y)
-        ref = C45Classifier(prune=prune, max_depth=max_depth)._fit_reference(X, y)
+        ref = ReferenceC45(prune=prune, max_depth=max_depth).fit(X, y)
         _assert_identical_fits(fast, ref, X)
 
     @pytest.mark.parametrize("prune", [False, True])
@@ -87,7 +107,20 @@ class TestC45Identity:
                                 k_x=int(rng.integers(2, 7)),
                                 k_y=int(rng.integers(2, 6)))
             fast = C45Classifier(prune=prune, max_depth=max_depth).fit(X, y)
-            ref = C45Classifier(prune=prune, max_depth=max_depth)._fit_reference(X, y)
+            ref = ReferenceC45(prune=prune, max_depth=max_depth).fit(X, y)
+            _assert_identical_fits(fast, ref, X)
+        # 8-24 values and classes, where numpy sums entropies pairwise.
+        # Uncorrelated data: its attributes tie closely, so a sum in the
+        # wrong order picks another split, while a column tied to the
+        # label wins every split outright.
+        for _ in range(30):
+            X, y = _rng_dataset(rng, int(rng.integers(100, 501)),
+                                int(rng.integers(3, 9)),
+                                k_x=int(rng.integers(8, 25)),
+                                k_y=int(rng.integers(8, 25)),
+                                correlated=False)
+            fast = C45Classifier(prune=prune, max_depth=max_depth).fit(X, y)
+            ref = ReferenceC45(prune=prune, max_depth=max_depth).fit(X, y)
             _assert_identical_fits(fast, ref, X)
 
     def test_degenerate_single_value_columns(self):
@@ -96,7 +129,7 @@ class TestC45Identity:
         X[:, 0] = 2          # constant column: n_values_[0] == 3 but 1 seen
         X[:, 2] = 0          # constant at zero: n_values_[2] == 1
         fast = C45Classifier().fit(X, y)
-        ref = C45Classifier()._fit_reference(X, y)
+        ref = ReferenceC45().fit(X, y)
         _assert_identical_fits(fast, ref, X)
 
     def test_all_columns_constant_yields_leaf(self):
@@ -105,18 +138,15 @@ class TestC45Identity:
         model = C45Classifier().fit(X, y)
         assert model.root_.is_leaf
         assert trees_equal(
-            model.root_, C45Classifier()._fit_reference(X, y).root_
+            model.root_, ReferenceC45().fit(X, y).root_
         )
 
-    def test_high_cardinality_falls_back_to_reference(self):
-        # >= 8 values / classes: the sequential-sum equivalence argument
-        # no longer holds, so fit() must route through the reference.
+    def test_high_cardinality_matches_oracle(self):
+        # >= 8 values / classes: numpy sums pairwise, not in sequence.
         rng = np.random.default_rng(11)
         X, y = _rng_dataset(rng, 300, 5, k_x=12, k_y=9)
-        model = C45Classifier()
-        model.fit(X, y)
-        assert not model._fast_fit_usable()
-        ref = C45Classifier()._fit_reference(X, y)
+        model = C45Classifier().fit(X, y)
+        ref = ReferenceC45().fit(X, y)
         _assert_identical_fits(model, ref, X)
 
     def test_root_tables_reproduce_plain_fit(self):

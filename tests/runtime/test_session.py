@@ -78,6 +78,30 @@ class TestCacheRoundTrip:
         assert list(tmp_path.glob("*.pkl")) == []
 
 
+class TestOneFitPerDetector:
+    """``detect`` scores the detector ``fitted_detector`` fits: one fit
+    per knob set, timed and profiled as the ``fit`` stage."""
+
+    def test_profiled_detect_has_fit_and_score_tables(self, tmp_path):
+        session = Session(cache_dir=tmp_path, profile_stages=True)
+        session.detect(TINY_PLAN, classifier="nbc")
+        assert {"fit", "score"} <= set(session.profiler.stages)
+
+    def test_fitted_detector_after_detect_does_not_refit(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        result = session.detect(TINY_PLAN, classifier="nbc")
+        fit_seconds = session.metrics.stage_seconds["fit"]
+        detector = session.fitted_detector(TINY_PLAN, classifier="nbc")
+        assert session.metrics.stage_seconds["fit"] == fit_seconds
+        assert detector.threshold_ == result.threshold
+
+    def test_unknown_classifier_fails_before_simulating(self):
+        session = Session(cache=False)
+        with pytest.raises(ValueError, match="'svm'"):
+            session.detect(TINY_PLAN, classifier="svm")
+        assert session.metrics.simulations == 0
+
+
 class TestDeterminism:
     def test_parallel_and_serial_sessions_agree(self, tmp_path):
         serial = Session(cache_dir=tmp_path / "s", jobs=1)

@@ -39,11 +39,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         *[(name, bad)
-          for name in ("duration", "tx_range", "traffic_rate", "sampling_period")
+          for name in ("duration", "tx_range", "traffic_rate", "sampling_period",
+                       "tcp_app_rate")
           for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)],
         *[("max_speed", bad) for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.4)],
-        *[("pause_time", bad) for bad in (math.nan, math.inf, -math.inf, -5.0)],
+        *[(name, bad)
+          for name in ("pause_time", "traffic_start_window")
+          for bad in (math.nan, math.inf, -math.inf, -5.0)],
         *[("loss_rate", bad) for bad in (math.nan, math.inf, -math.inf, -0.1, 2.0)],
+        *[("area", bad) for bad in (
+            (math.nan, 1000.0), (-100.0, 1000.0), (1000.0, 0.0), (1000.0, math.inf),
+            (1000.0,), (1000.0, 1000.0, 1000.0),
+        )],
+        ("max_connections", -3), ("packet_size", -1), ("packet_size", 0),
     ])
     def test_bad_numeric_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -52,6 +60,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("loss_rate", 0.0), ("loss_rate", 1.0), ("max_speed", 0.5),
         ("pause_time", 0.0), ("pause_time", 1e9), ("tx_range", 1e-3),
+        ("max_connections", 0), ("traffic_start_window", 0.0),
     ])
     def test_edge_of_range_accepted(self, field, value):
         assert getattr(ScenarioConfig(**{field: value}), field) == value
