@@ -37,6 +37,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.model import SCORING_METHODS
+
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", choices=["aodv", "dsr", "olsr"], default="aodv")
@@ -411,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
     p_det.add_argument(
         "--method",
-        choices=["match_count", "avg_probability", "calibrated_probability"],
+        choices=SCORING_METHODS,
         default="calibrated_probability",
     )
     p_det.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
     p_str.add_argument(
         "--method",
-        choices=["match_count", "avg_probability", "calibrated_probability"],
+        choices=SCORING_METHODS,
         default="calibrated_probability",
     )
     p_str.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
@@ -454,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
     p_flt.add_argument(
         "--method",
-        choices=["match_count", "avg_probability", "calibrated_probability"],
+        choices=SCORING_METHODS,
         default="calibrated_probability",
     )
     p_flt.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],

@@ -47,6 +47,9 @@ from repro.ml.decision_tree import C45Classifier
 
 ClassifierFactory = Callable[[], CategoricalClassifier]
 
+#: The scoring rules :meth:`CrossFeatureModel.normality_score` accepts.
+SCORING_METHODS = ("match_count", "avg_probability", "calibrated_probability")
+
 
 def _keep_indices(n_features: int, targets: Sequence[int]) -> dict[int, np.ndarray]:
     """Per-target column gathers replacing ``np.delete(codes, i, axis=1)``.
@@ -353,7 +356,7 @@ class CrossFeatureModel:
             return np.exp(
                 np.log(np.maximum(calibrated, self._GEO_FLOOR)).mean(axis=1)
             )
-        raise ValueError(f"unknown method: {method!r}")
+        raise ValueError(f"unknown method: {method!r}; have {SCORING_METHODS}")
 
     def _calibrated_outputs(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ``(p_true, calibrated)`` sub-model matrices for ``X``.

@@ -180,8 +180,9 @@ class ArtifactCache:
     cache_dir:
         Storage directory; ``None`` resolves via :func:`default_cache_dir`.
     max_entries, max_bytes:
-        Eviction bounds — oldest (by mtime, i.e. least recently used)
-        entries are removed after every write until both hold.
+        Eviction bounds, each at least 1 — oldest (by mtime, i.e. least
+        recently used) entries are removed after every write until both
+        hold.
     metrics:
         Optional :class:`~repro.runtime.metrics.RuntimeMetrics` that
         receives eviction and write-failure events.  Hit/miss accounting
@@ -204,6 +205,10 @@ class ArtifactCache:
         metrics: "RuntimeMetrics | None" = None,
         faults: "FaultPlan | None" = None,
     ):
+        # Negated comparisons, so NaN fails them too.
+        for name, value in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+            if not value >= 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         self.dir = Path(cache_dir).expanduser() if cache_dir is not None else default_cache_dir()
         self.max_entries = max_entries
         self.max_bytes = max_bytes

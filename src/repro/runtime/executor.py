@@ -34,6 +34,7 @@ with a crashed worker and ``--jobs 1`` produce the same numbers.
 
 from __future__ import annotations
 
+import math
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -83,12 +84,15 @@ class SupervisionPolicy:
     max_pool_respawns: int = 2
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
-        if self.max_pool_respawns < 0:
-            raise ValueError("max_pool_respawns must be >= 0")
+        # Negated comparisons, so NaN fails them too.
+        for name in ("max_retries", "max_pool_respawns", "backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
+            raise ValueError(
+                f"task_timeout must be None or positive and finite, got {self.task_timeout!r}"
+            )
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before re-running a task's Nth charged attempt."""

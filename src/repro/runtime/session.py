@@ -169,8 +169,9 @@ class Session:
         Artifact cache directory (default: ``$REPRO_CACHE_DIR`` or
         ``~/.cache/repro``).
     jobs:
-        Worker processes for trace fan-out; ``None`` reads ``$REPRO_JOBS``
-        (default 1 = serial).  Results are seed-deterministic regardless.
+        Worker processes for trace fan-out, at least 1; ``None`` reads
+        ``$REPRO_JOBS`` (default 1 = serial).  Results are
+        seed-deterministic regardless.
     metrics:
         A :class:`RuntimeMetrics` to account into (one is created
         otherwise); pass one with an ``on_event`` hook for live progress.
@@ -212,7 +213,9 @@ class Session:
         faults: FaultPlan | None = None,
         profile_stages: bool | None = None,
     ):
-        self.jobs = _env_jobs() if jobs is None else max(1, int(jobs))
+        if jobs is not None and not jobs >= 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+        self.jobs = _env_jobs() if jobs is None else int(jobs)
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         policy = policy if policy is not None else SupervisionPolicy()
         overrides = {}
@@ -534,16 +537,14 @@ class Session:
         """
         monitor = plan.monitor if monitor is None else int(monitor)
         result = self._detect_streams(
-            plan, "stream", False, seeds=None if seed is None else (seed,),
-            monitors=(monitor,), attack=attack, warmup=warmup,
+            plan, "stream",
+            (classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs),
+            seeds=None if seed is None else (seed,), monitors=(monitor,),
+            attack=attack, warmup=warmup, threshold=threshold,
             on_alarm=on_alarm, on_fused=None, checkpoint=checkpoint,
             checkpoint_every=checkpoint_every, resume_from=resume_from,
-            stream_faults=stream_faults, threshold=threshold, quorum=1,
-            classifier=classifier, method=method,
-            false_alarm_rate=false_alarm_rate, max_models=max_models,
-            n_buckets=n_buckets, n_jobs=n_jobs, row_policy=row_policy,
-            attribution=attribution, max_consecutive_faults=sys.maxsize,
-            stall_timeout=None,
+            stream_faults=stream_faults, row_policy=row_policy,
+            attribution=attribution,
         )
         return result.streams[f"s0/n{monitor}"]
 
@@ -566,7 +567,6 @@ class Session:
         on_fused: "Callable[[FleetAlarm], None] | None" = None,
         row_policy: str | None = None,
         attribution: bool = False,
-        max_consecutive_faults: int | None = None,
         stall_timeout: float | None = None,
         checkpoint: "str | os.PathLike | None" = None,
         checkpoint_every: int | None = None,
@@ -576,17 +576,17 @@ class Session:
         """Fleet detection: one detector watching every node at once.
 
         Trains (or reuses) the plan's detector via
-        :meth:`fitted_detector`, registers one streaming lane per
-        (scenario, monitor) through
-        :meth:`~repro.stream.FleetDetector.from_session`, then runs one
-        fresh scenario per seed with all of that scenario's taps riding
-        it.  Windows closing on the same tick — across every monitored
-        node and every scenario — are scored in one vectorized batch;
-        per-stream scores are bit-identical to independent
-        :meth:`stream_detect` runs over the same traces.  Seeds and
-        monitors are validated before any training: an empty
-        ``seeds`` or ``monitors``, or a monitor that is out of range,
-        listed twice or the plan's attacker, raises
+        :meth:`fitted_detector`, wraps it with
+        :meth:`~repro.stream.FleetDetector.from_detector` and registers
+        one :meth:`~repro.stream.FleetDetector.add_stream` lane per
+        (scenario, monitor), then runs one fresh scenario per seed with
+        all of that scenario's taps riding it.  Windows closing on the
+        same tick — across every monitored node and every scenario — are
+        scored in one vectorized batch; per-stream scores are
+        bit-identical to independent :meth:`stream_detect` runs over the
+        same traces.  Seeds and monitors are validated before any
+        training: an empty ``seeds`` or ``monitors``, or a monitor that
+        is out of range, listed twice or the plan's attacker, raises
         :class:`ValueError`.
 
         Per-stream alarms surface as ``"alarm"`` metrics events, fused
@@ -614,9 +614,11 @@ class Session:
             fragments and verdicts are counted via
             :meth:`RuntimeMetrics.record_verdict`.  Scores, alarm sets
             and fused timing are unchanged.
-        row_policy, max_consecutive_faults, stall_timeout:
+        row_policy, stall_timeout:
             Degraded-input handling (see :mod:`repro.stream.config`);
-            ``None`` takes the shared defaults.  Quarantined rows,
+            ``None`` takes the shared defaults.  Every lane's
+            consecutive-fault breaker is
+            :data:`~repro.stream.DEFAULT_MAX_FAULTS`.  Quarantined rows,
             auto-sealed lanes and duplicate seals surface as
             ``"stream_fault"`` / ``"lane_sealed"`` /
             ``"duplicate_seal"`` metrics events and ride the
@@ -636,21 +638,14 @@ class Session:
         dispatch order.  Ground-truth labels are attached post hoc per
         scenario under the plan's label policy.
         """
-        from repro.stream.config import DEFAULT_MAX_FAULTS
-
-        if max_consecutive_faults is None:
-            max_consecutive_faults = DEFAULT_MAX_FAULTS
         return self._detect_streams(
-            plan, "fleet", True, seeds=seeds, monitors=monitors,
-            attack=attack, warmup=warmup, on_alarm=on_alarm,
-            on_fused=on_fused, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, resume_from=resume_from,
-            stream_faults=stream_faults, threshold=threshold, quorum=quorum,
-            classifier=classifier, method=method,
-            false_alarm_rate=false_alarm_rate, max_models=max_models,
-            n_buckets=n_buckets, n_jobs=n_jobs, row_policy=row_policy,
-            attribution=attribution,
-            max_consecutive_faults=max_consecutive_faults,
+            plan, "fleet",
+            (classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs),
+            seeds=seeds, monitors=monitors, attack=attack, warmup=warmup,
+            threshold=threshold, on_alarm=on_alarm, on_fused=on_fused,
+            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+            resume_from=resume_from, stream_faults=stream_faults,
+            quorum=quorum, row_policy=row_policy, attribution=attribution,
             stall_timeout=stall_timeout,
         )
 
@@ -658,11 +653,12 @@ class Session:
         self,
         plan: ExperimentPlan,
         stage: str,
-        fleet_relays: bool,
+        training: tuple,
         seeds: Sequence[int] | None,
         monitors: Sequence[int] | None,
         attack: bool,
         warmup: float | None,
+        threshold: float | None,
         on_alarm: "Callable[[Alarm], None] | None",
         on_fused: "Callable[[FleetAlarm], None] | None",
         checkpoint: "str | os.PathLike | None",
@@ -674,15 +670,20 @@ class Session:
         """The one streaming driver behind :meth:`stream_detect` and
         :meth:`fleet_detect` (see the latter for the keywords).
 
-        ``stage`` names the timed stage; ``fleet_relays`` wires the
-        ``fused_alarm`` and ``fleet_batch`` metrics relays (a one-lane
-        quorum would only repeat every lane alarm).  ``knobs`` — the
-        threshold, quorum, training, row-policy and attribution
-        keywords — go to :meth:`FleetDetector.from_session` unchanged.
+        ``stage`` names the timed stage: ``"fleet"`` wires the
+        ``fused_alarm`` and ``fleet_batch`` metrics relays and gives
+        every lane the :data:`~repro.stream.DEFAULT_MAX_FAULTS` breaker;
+        ``"stream"`` (one lane) wires neither relay, since a one-lane
+        quorum would only repeat every lane alarm, and has no breaker,
+        since a seal would end the run.  ``training`` is
+        :meth:`fitted_detector`'s knobs after the plan, in order;
+        ``knobs`` — quorum, row policy, attribution and stall timeout —
+        go to :meth:`FleetDetector.from_detector` unchanged.
         """
         import numpy as np
 
         from repro.simulation.scenario import run_scenario
+        from repro.stream.config import DEFAULT_MAX_FAULTS
         from repro.stream.durability import run_durable_fleet
         from repro.stream.faults import StreamFaultPlan
         from repro.stream.fleet import FleetDetector
@@ -740,14 +741,21 @@ class Session:
             or stream_faults is not None
         )
 
-        fleet = FleetDetector.from_session(
-            self, plan, monitors=monitors, scenarios=scenario_names,
-            warmup=warmup, on_alarm=relay_alarm,
-            on_fused=relay_fused if fleet_relays else None,
-            on_batch=self.metrics.record_fleet_batch if fleet_relays else None,
+        fleet_lanes = stage == "fleet"
+        fleet = FleetDetector.from_detector(
+            self.fitted_detector(plan, *training), threshold,
+            on_alarm=relay_alarm,
+            on_fused=relay_fused if fleet_lanes else None,
+            on_batch=self.metrics.record_fleet_batch if fleet_lanes else None,
+            max_consecutive_faults=DEFAULT_MAX_FAULTS if fleet_lanes else sys.maxsize,
             faults=stream_faults, on_fault=relay_fault, on_seal=relay_seal,
             **knobs,
         )
+        sampling_period = plan.scenario_config(plan.train_seeds[0]).sampling_period
+        for name in scenario_names:
+            for monitor in monitors:
+                fleet.add_stream(monitor, scenario=name, periods=plan.periods,
+                                 sampling_period=sampling_period, warmup=warmup)
 
         attacks = plan.build_attacks() if attack else []
         truths: dict[str, np.ndarray] = {}

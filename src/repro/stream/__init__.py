@@ -16,10 +16,12 @@ decisions stay bit-identical.
 At fleet scale, a :class:`FleetDetector` multiplexes N extractor streams
 (one per monitored node, across one or many scenarios) into a single
 pipeline: all windows closing on the same tick are scored in **one**
-vectorized batch, per-stream :class:`Alarm` streams are fused into
+vectorized batch, and per-stream :class:`Alarm` streams are fused into
 network-level :class:`FleetAlarm` verdicts under a configurable quorum
-policy, and every construction surface shares the keywords documented in
-:mod:`repro.stream.config`.
+policy.  Each detector has one construction path: its constructor
+declares every keyword once (semantics in :mod:`repro.stream.config`),
+and ``from_detector`` wraps a fitted batch detector and forwards the
+rest.
 
 The contract: for any scenario, the streamed per-window feature rows and
 scores are **bit-identical** to the batch
@@ -27,9 +29,11 @@ scores are **bit-identical** to the batch
 the completed trace, whether a window is scored alone or in a fleet's
 tick bucket (asserted end to end by ``tests/stream/``).
 
-Long-lived runs are *durable*: the full streaming state checkpoints to a
-fingerprinted file (:mod:`repro.stream.durability`) and a run killed at
-any tick restores + replays to bit-identical results; degraded input is
+Long-lived runs are *durable*: a fleet's full state checkpoints to a
+fingerprinted file and a run killed at any tick restores + replays to
+bit-identical results through the one driver,
+:func:`~repro.stream.durability.run_durable_fleet` (a single stream is
+a one-lane fleet, so its checkpoint is that fleet's); degraded input is
 governed by a ``row_policy`` (quarantine late / duplicate / NaN /
 out-of-range rows as typed :class:`StreamFault` records instead of
 raising), and :mod:`repro.stream.faults` injects deterministic row /
@@ -67,10 +71,8 @@ from repro.stream.detector import Alarm, OnlineDetector, StreamResult
 from repro.stream.durability import (
     CheckpointError,
     load_fleet_checkpoint,
-    load_stream_checkpoint,
     read_checkpoint,
     save_fleet_checkpoint,
-    save_stream_checkpoint,
     write_checkpoint,
 )
 from repro.stream.extractor import StreamingExtractor, WindowRow, extractor_for_config
@@ -103,13 +105,11 @@ __all__ = [
     "WindowRow",
     "extractor_for_config",
     "load_fleet_checkpoint",
-    "load_stream_checkpoint",
     "needed_votes",
     "read_checkpoint",
     "replay_trace",
     "resolve_threshold",
     "save_fleet_checkpoint",
-    "save_stream_checkpoint",
     "validate_quorum",
     "validate_row_policy",
     "write_checkpoint",

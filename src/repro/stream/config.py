@@ -1,16 +1,20 @@
 """The one place the detector-construction knobs are defined.
 
-Every online-detection constructor — :meth:`OnlineDetector.from_detector`,
-:meth:`FleetDetector.from_detector` / :meth:`FleetDetector.from_session`,
-:meth:`Session.stream_detect` and :meth:`Session.fleet_detect` — accepts
-the same keywords with the same meanings and the same defaults, defined
-here so the surfaces cannot drift apart (``tests/stream/test_fleet.py``
-asserts the symmetry by introspection):
+Each keyword is declared once, on a constructor: ``OnlineDetector`` and
+``FleetDetector`` (their ``from_detector`` wrappers adopt a fitted
+batch detector's model, method and threshold and forward every other
+keyword unchanged) and :meth:`FleetDetector.add_stream` for the
+per-lane extraction knobs.  :meth:`Session.stream_detect` and
+:meth:`Session.fleet_detect` accept the same keywords with the same
+meanings and the same defaults, defined here so the surfaces cannot
+drift apart (``tests/stream/test_fleet.py`` asserts the symmetry by
+introspection):
 
 ``threshold`` : float | None
     Decision threshold; a window alarms iff ``score < threshold``.
-    ``None`` (the default everywhere) adopts the fitted batch detector's
-    calibrated ``threshold_`` via :func:`resolve_threshold`.
+    ``None`` (the default of ``from_detector`` and the Session methods)
+    adopts the fitted batch detector's calibrated ``threshold_`` via
+    :func:`resolve_threshold`.  NaN is rejected; ``-inf`` never alarms.
 ``warmup`` : float | None
     Suppress windows ending before this simulation time.  The raw
     default is :data:`DEFAULT_WARMUP` (0.0 — score everything); the
@@ -42,11 +46,14 @@ asserts the symmetry by introspection):
     raising; detection continues on the surviving rows.  Session
     methods default to ``None`` = the shared default.
 ``max_consecutive_faults`` : int
-    Quarantine-mode circuit breaker (:data:`DEFAULT_MAX_FAULTS`): a
-    fleet lane exceeding this many *consecutive* quarantined rows is
-    auto-sealed with reason ``"faulted"``.  Fleet lanes only: a single
-    stream (``OnlineDetector``, ``Session.stream_detect``) has no
-    breaker.
+    Quarantine-mode circuit breaker, a ``FleetDetector`` keyword only
+    (:data:`DEFAULT_MAX_FAULTS`): a lane exceeding this many
+    *consecutive* quarantined rows is auto-sealed with reason
+    ``"faulted"``.  The ``Session`` picks it rather than exposing it:
+    :data:`DEFAULT_MAX_FAULTS` for ``fleet_detect`` lanes, and
+    ``sys.maxsize`` — no breaker — for a single stream
+    (``Session.stream_detect``, and ``OnlineDetector`` likewise), since
+    sealing its only lane would end the run.
 ``attribution`` : bool
     Attach a typed :class:`~repro.attribution.Verdict` to every alarm
     (anomaly class, culprit features, CUSUM onset) and a fused verdict

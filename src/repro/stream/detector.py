@@ -9,9 +9,11 @@ frames (an IDS watching a live node), instead of scoring a finished
 trace after the fact.
 
 It is a one-lane :class:`~repro.stream.fleet.FleetDetector`: the fleet
-is the only streaming engine (row policy, scoring, attribution, alarms,
-snapshots), and :meth:`OnlineDetector.consume` seals the lane just past
-each row, so the row scores and its alarm returns inside the call.
+is the only streaming engine (row policy, scoring, attribution, alarms),
+and :meth:`OnlineDetector.consume` seals the lane just past each row, so
+the row scores and its alarm returns inside the call.  A durable single
+stream is a one-lane fleet driven by
+:func:`~repro.stream.durability.run_durable_fleet`.
 Scoring one row at a time is bit-identical to scoring the batch matrix:
 every step of :meth:`CrossFeatureModel.normality_score` — discretizer
 transform, sub-model tree walk, per-row probability lookup and the
@@ -31,7 +33,12 @@ import numpy as np
 
 from repro.attribution import AlarmAttributor, Verdict
 from repro.core.model import CrossFeatureDetector, CrossFeatureModel
-from repro.stream.config import DEFAULT_ATTRIBUTION, DEFAULT_ROW_POLICY
+from repro.stream.config import (
+    DEFAULT_ATTRIBUTION,
+    DEFAULT_MONITOR,
+    DEFAULT_ROW_POLICY,
+    resolve_threshold,
+)
 from repro.stream.extractor import WindowRow
 from repro.stream.faults import StreamFault
 
@@ -146,7 +153,7 @@ class OnlineDetector:
         model: CrossFeatureModel,
         threshold: float,
         method: str = "avg_probability",
-        monitor: int = 0,
+        monitor: int = DEFAULT_MONITOR,
         on_alarm: Callable[[Alarm], None] | None = None,
         row_policy: str = DEFAULT_ROW_POLICY,
         on_fault: Callable[[StreamFault], None] | None = None,
@@ -168,31 +175,20 @@ class OnlineDetector:
         cls,
         detector: CrossFeatureDetector,
         threshold: float | None = None,
-        monitor: int = 0,
-        on_alarm: Callable[[Alarm], None] | None = None,
-        row_policy: str = DEFAULT_ROW_POLICY,
-        on_fault: Callable[[StreamFault], None] | None = None,
-        attribution: bool = DEFAULT_ATTRIBUTION,
+        **knobs,
     ) -> "OnlineDetector":
         """Wrap a fitted batch :class:`CrossFeatureDetector` unchanged.
 
         ``threshold=None`` adopts the detector's calibrated
         ``threshold_`` — the shared construction rule documented in
-        :mod:`repro.stream.config`.
+        :mod:`repro.stream.config`; ``knobs`` are the constructor's
+        keywords.
         """
-        from repro.stream.config import resolve_threshold
-
-        if detector.threshold_ is None and threshold is None:
-            raise ValueError("detector must be fitted before online detection")
         return cls(
-            model=detector.model,
-            threshold=resolve_threshold(detector, threshold),
+            detector.model,
+            resolve_threshold(detector, threshold),
             method=detector.method,
-            monitor=monitor,
-            on_alarm=on_alarm,
-            row_policy=row_policy,
-            on_fault=on_fault,
-            attribution=attribution,
+            **knobs,
         )
 
     # ------------------------------------------------------------------
@@ -266,14 +262,3 @@ class OnlineDetector:
         """Freeze the run into a :class:`StreamResult`."""
         labels = None if labels is None else {"": labels}
         return self._fleet.result(labels, elapsed_s).streams[""]
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The one-lane fleet's :meth:`~FleetDetector.snapshot`."""
-        return self._fleet.snapshot()
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot`; restored alarms do not re-fire hooks."""
-        self._fleet.restore(state)

@@ -22,6 +22,7 @@ window is never emitted early and never reordered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,10 +107,18 @@ class StreamingExtractor:
     ):
         if monitor < 0:
             raise ValueError(f"monitor must be >= 0, got {monitor}")
+        periods = tuple(periods)
         if not periods:
             raise ValueError("need at least one sampling period")
-        if sampling_period <= 0:
-            raise ValueError("sampling_period must be positive")
+        # Negated comparisons, so NaN fails them too.
+        if not all(0 < p < math.inf for p in periods):
+            raise ValueError(f"periods must be positive and finite, got {periods!r}")
+        if not 0 < sampling_period < math.inf:
+            raise ValueError(
+                f"sampling_period must be positive and finite, got {sampling_period!r}"
+            )
+        if not 0 <= warmup < math.inf:
+            raise ValueError(f"warmup must be non-negative and finite, got {warmup!r}")
         self.monitor = monitor
         self.periods = tuple(float(p) for p in periods)
         self.sampling_period = float(sampling_period)

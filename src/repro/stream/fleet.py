@@ -60,9 +60,10 @@ or, end to end through the runtime layer::
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,7 +73,7 @@ from repro.attribution import (
     contribution_matrix,
     fuse_verdicts,
 )
-from repro.core.model import CrossFeatureDetector, CrossFeatureModel
+from repro.core.model import SCORING_METHODS, CrossFeatureDetector, CrossFeatureModel
 from repro.features.traffic import DEFAULT_SAMPLING_PERIODS
 from repro.stream.config import (
     DEFAULT_ATTRIBUTION,
@@ -89,10 +90,6 @@ from repro.stream.config import (
 from repro.stream.detector import Alarm, StreamResult
 from repro.stream.extractor import StreamingExtractor, WindowRow
 from repro.stream.faults import RowFaultInjector, StreamFault, StreamFaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.eval.experiments import ExperimentPlan
-    from repro.runtime.session import Session
 
 
 @dataclass(frozen=True)
@@ -359,8 +356,19 @@ class FleetDetector:
     ):
         if model.discretizer is None:
             raise ValueError("model must be fitted before fleet detection")
-        if stall_timeout is not None and stall_timeout <= 0:
-            raise ValueError(f"stall_timeout must be positive, got {stall_timeout}")
+        # Negated comparisons, so NaN fails them too.
+        if not -math.inf <= threshold <= math.inf:
+            raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+        if method not in SCORING_METHODS:
+            raise ValueError(f"method must be one of {SCORING_METHODS}, got {method!r}")
+        if not (isinstance(max_consecutive_faults, int) and max_consecutive_faults >= 0):
+            raise ValueError(
+                f"max_consecutive_faults must be an int >= 0, got {max_consecutive_faults!r}"
+            )
+        if stall_timeout is not None and not 0 < stall_timeout < math.inf:
+            raise ValueError(
+                f"stall_timeout must be None or positive and finite, got {stall_timeout!r}"
+            )
         self.model = model
         self.threshold = float(threshold)
         self.method = method
@@ -369,7 +377,7 @@ class FleetDetector:
         self.on_fused = on_fused
         self.on_batch = on_batch
         self.row_policy = validate_row_policy(row_policy)
-        self.max_consecutive_faults = int(max_consecutive_faults)
+        self.max_consecutive_faults = max_consecutive_faults
         self.stall_timeout = stall_timeout
         self.on_fault = on_fault
         self.on_seal = on_seal
@@ -389,124 +397,28 @@ class FleetDetector:
         self._finalized_through = float("-inf")
 
     # ------------------------------------------------------------------
-    # Construction (the unified surface; see repro.stream.config)
+    # Construction (the one path; keywords in repro.stream.config)
     # ------------------------------------------------------------------
     @classmethod
     def from_detector(
         cls,
         detector: CrossFeatureDetector,
         threshold: float | None = None,
-        quorum: int | float = DEFAULT_QUORUM,
-        on_alarm: Callable[[Alarm], None] | None = None,
-        on_fused: Callable[[FleetAlarm], None] | None = None,
-        on_batch: Callable[[int, float], None] | None = None,
-        row_policy: str = DEFAULT_ROW_POLICY,
-        max_consecutive_faults: int = DEFAULT_MAX_FAULTS,
-        stall_timeout: float | None = None,
-        faults: StreamFaultPlan | None = None,
-        on_fault: Callable[[StreamFault], None] | None = None,
-        on_seal: Callable[[str, str], None] | None = None,
-        attribution: bool = DEFAULT_ATTRIBUTION,
+        **knobs,
     ) -> "FleetDetector":
         """Wrap a fitted batch :class:`CrossFeatureDetector` unchanged.
 
         ``threshold=None`` adopts the detector's calibrated
         ``threshold_`` (the same rule as
-        :meth:`OnlineDetector.from_detector`).
+        :meth:`OnlineDetector.from_detector`); ``knobs`` are the
+        constructor's keywords.
         """
         return cls(
-            model=detector.model,
-            threshold=resolve_threshold(detector, threshold),
+            detector.model,
+            resolve_threshold(detector, threshold),
             method=detector.method,
-            quorum=quorum,
-            on_alarm=on_alarm,
-            on_fused=on_fused,
-            on_batch=on_batch,
-            row_policy=row_policy,
-            max_consecutive_faults=max_consecutive_faults,
-            stall_timeout=stall_timeout,
-            faults=faults,
-            on_fault=on_fault,
-            on_seal=on_seal,
-            attribution=attribution,
+            **knobs,
         )
-
-    @classmethod
-    def from_session(
-        cls,
-        session: "Session",
-        plan: "ExperimentPlan",
-        monitors: Sequence[int] | None = None,
-        scenarios: int | Sequence[str] = 1,
-        warmup: float | None = None,
-        threshold: float | None = None,
-        quorum: int | float = DEFAULT_QUORUM,
-        classifier: str = "c45",
-        method: str = "calibrated_probability",
-        false_alarm_rate: float = 0.02,
-        max_models: int | None = None,
-        n_buckets: int = 5,
-        n_jobs: int | None = 1,
-        on_alarm: Callable[[Alarm], None] | None = None,
-        on_fused: Callable[[FleetAlarm], None] | None = None,
-        on_batch: Callable[[int, float], None] | None = None,
-        row_policy: str = DEFAULT_ROW_POLICY,
-        max_consecutive_faults: int = DEFAULT_MAX_FAULTS,
-        stall_timeout: float | None = None,
-        faults: StreamFaultPlan | None = None,
-        on_fault: Callable[[StreamFault], None] | None = None,
-        on_seal: Callable[[str, str], None] | None = None,
-        attribution: bool = DEFAULT_ATTRIBUTION,
-    ) -> "FleetDetector":
-        """Train via the session and register one lane per (scenario, monitor).
-
-        Trains (or reuses) the plan's detector through
-        :meth:`Session.fitted_detector` with the usual training knobs,
-        then adds a stream for every monitor of every scenario group:
-        ``monitors=None`` watches every node except the plan's attacker;
-        ``scenarios`` is a group count (named ``"s0"``, ``"s1"``, ...)
-        or explicit group names.  The registered taps are retrieved with
-        :meth:`taps` and fed to ``run_scenario`` / ``replay_trace``.
-        """
-        detector = session.fitted_detector(
-            plan,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
-        )
-        fleet = cls.from_detector(
-            detector,
-            threshold=threshold,
-            quorum=quorum,
-            on_alarm=on_alarm,
-            on_fused=on_fused,
-            on_batch=on_batch,
-            row_policy=row_policy,
-            max_consecutive_faults=max_consecutive_faults,
-            stall_timeout=stall_timeout,
-            faults=faults,
-            on_fault=on_fault,
-            on_seal=on_seal,
-            attribution=attribution,
-        )
-        if monitors is None:
-            monitors = tuple(m for m in range(plan.n_nodes) if m != plan.attacker)
-        if isinstance(scenarios, int):
-            scenarios = tuple(f"s{k}" for k in range(scenarios))
-        sampling_period = plan.scenario_config(plan.train_seeds[0]).sampling_period
-        for scenario in scenarios:
-            for monitor in monitors:
-                fleet.add_stream(
-                    monitor,
-                    scenario=scenario,
-                    periods=plan.periods,
-                    sampling_period=sampling_period,
-                    warmup=plan.warmup if warmup is None else warmup,
-                )
-        return fleet
 
     # ------------------------------------------------------------------
     # Stream registration
@@ -997,8 +909,8 @@ class FleetDetector:
         """Adopt a :meth:`snapshot` taken from a same-shaped fleet.
 
         The same lanes must already be registered (same names, via
-        ``add_stream``/``attach``/``from_session`` with the original
-        knobs).  Restored alarms and faults do not re-fire hooks.
+        ``add_stream``/``attach`` with the original knobs).  Restored
+        alarms and faults do not re-fire hooks.
         """
         if set(state["lanes"]) != set(self._lanes):
             raise ValueError(

@@ -1,6 +1,9 @@
 """Public API surface tests: documented entry points exist and are sane."""
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -122,13 +125,11 @@ class TestTopLevelApi:
             "WindowRow",
             "extractor_for_config",
             "load_fleet_checkpoint",
-            "load_stream_checkpoint",
             "needed_votes",
             "read_checkpoint",
             "replay_trace",
             "resolve_threshold",
             "save_fleet_checkpoint",
-            "save_stream_checkpoint",
             "validate_quorum",
             "validate_row_policy",
             "write_checkpoint",
@@ -175,3 +176,24 @@ class TestTopLevelApi:
                     load_dataset, save_dataset, AodvProtocol, DsrProtocol,
                     OlsrProtocol):
             assert inspect.getdoc(obj)
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.name)
+def test_example_imports_resolve(example):
+    """No test runs the examples, so a deleted public name would only
+    break them at run time: every ``from repro... import name`` they
+    make must resolve."""
+    tree = ast.parse(example.read_text(), filename=str(example))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    ]
+    assert imports, example.name
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

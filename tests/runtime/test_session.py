@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.eval.experiments import ExperimentPlan, plan_sim_key
-from repro.runtime import RuntimeMetrics, Session, TraceEvent
+from repro.runtime import (
+    ArtifactCache,
+    RuntimeMetrics,
+    Session,
+    SupervisionPolicy,
+    TraceEvent,
+)
 
 TINY_PLAN = ExperimentPlan(
     n_nodes=6,
@@ -206,6 +212,46 @@ class TestRemovedLegacyWrappers:
         raw = cached_raw_traces(TINY_PLAN)
         again = default_session().raw_traces(TINY_PLAN)
         assert raw.train[0] is again.train[0]  # same memoised simulations
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (entry point given a scratch directory, the field its ValueError must name).
+BAD_RUNTIME_VALUES = [
+    (lambda d: SupervisionPolicy(task_timeout=NAN), "task_timeout"),
+    (lambda d: SupervisionPolicy(task_timeout=INF), "task_timeout"),
+    (lambda d: SupervisionPolicy(max_retries=NAN), "max_retries"),
+    (lambda d: SupervisionPolicy(max_pool_respawns=NAN), "max_pool_respawns"),
+    (lambda d: SupervisionPolicy(backoff_base=-1.0), "backoff_base"),
+    (lambda d: SupervisionPolicy(backoff_base=NAN), "backoff_base"),
+    (lambda d: SupervisionPolicy(backoff_cap=-1.0), "backoff_cap"),
+    (lambda d: ArtifactCache(d, max_entries=0), "max_entries"),
+    (lambda d: ArtifactCache(d, max_entries=-1), "max_entries"),
+    (lambda d: ArtifactCache(d, max_bytes=0), "max_bytes"),
+    (lambda d: ArtifactCache(d, max_bytes=NAN), "max_bytes"),
+    (lambda d: Session(cache_dir=d, jobs=0), "jobs"),
+    (lambda d: Session(cache_dir=d, jobs=-2), "jobs"),
+    (lambda d: Session(cache_dir=d, jobs=2, task_timeout=NAN), "task_timeout"),
+    (lambda d: Session(cache_dir=d, max_entries=0), "max_entries"),
+]
+
+
+class TestEntryPointValidation:
+    """Bad runtime values fail at construction, naming the field, instead
+    of timing out every pooled task, retrying without end or caching
+    nothing."""
+
+    @pytest.mark.parametrize("build, name", BAD_RUNTIME_VALUES)
+    def test_bad_value_is_rejected_by_name(self, build, name, tmp_path):
+        with pytest.raises(ValueError, match=name):
+            build(tmp_path)
+
+    def test_edge_values_are_accepted(self, tmp_path):
+        cache = ArtifactCache(tmp_path, max_entries=1, max_bytes=1 << 20)
+        assert cache.put("k", [1, 2]) and cache.get("k") == [1, 2]
+        policy = SupervisionPolicy(max_retries=0, backoff_base=0.0, max_pool_respawns=0)
+        assert policy.backoff(3) == 0.0
+        assert Session(cache=False, jobs=1).jobs == 1
 
 
 class TestRuntimeConfiguration:

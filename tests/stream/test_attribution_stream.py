@@ -79,51 +79,49 @@ class TestOnlineBitIdentity:
         assert online.attribution is None
 
 
+def one_lane(model, threshold, rows=(), attribution=True):
+    """A single stream as the one-lane fleet, each row sealed as it lands."""
+    fleet = FleetDetector(model, threshold, attribution=attribution)
+    fleet.attach("")
+    feed(fleet, rows)
+    return fleet
+
+
+def feed(fleet, rows):
+    for row in rows:
+        fleet.ingest("", row)
+        fleet.seal("", row.time)
+
+
 class TestOnlineCheckpoint:
-    def test_verdict_state_survives_snapshot_restore(self, model, threshold):
-        rows = mixed_rows()
-        cut = len(rows) // 2
-
-        live = OnlineDetector(model, threshold, attribution=True)
-        for row in rows[:cut]:
-            live.consume(row)
-        state = live.snapshot()
-        assert state["lanes"][""]["attributor"] is not None
-
-        fresh = OnlineDetector(model, threshold, attribution=True)
-        fresh.restore(state)
-        assert fresh.attribution.snapshot() == live.attribution.snapshot()
-        for row in rows[cut:]:
-            a_live = live.consume(row)
-            a_fresh = fresh.consume(row)
-            assert (a_live is None) == (a_fresh is None)
-            if a_live is not None:
-                assert a_fresh.verdict == a_live.verdict
-        assert fresh.attribution.snapshot() == live.attribution.snapshot()
+    """A single stream checkpoints as its one-lane fleet.  (The mid-run
+    attributor-state case is ``TestFleetCheckpoint`` below.)"""
 
     def test_tail_replay_matches_uninterrupted_run(self, model, threshold):
         rows = mixed_rows()
-        clean = run_online(model, threshold, rows, attribution=True)
+        clean = one_lane(model, threshold, rows)
+        clean.finish()
 
         cut = len(rows) // 3
-        first = run_online(model, threshold, rows[:cut], attribution=True)
-        resumed = OnlineDetector(model, threshold, attribution=True)
+        first = one_lane(model, threshold, rows[:cut])
+        resumed = one_lane(model, threshold)
         resumed.restore(first.snapshot())
-        for row in rows[cut:]:
-            resumed.consume(row)
-        assert np.array_equal(np.asarray(resumed.scores), np.asarray(clean.scores))
-        assert [a.verdict for a in resumed.alarms] == [a.verdict for a in clean.alarms]
+        feed(resumed, rows[cut:])
+        resumed.finish()
+        assert np.array_equal(np.asarray(resumed._lanes[""].scores),
+                              np.asarray(clean._lanes[""].scores))
+        assert [a.verdict for a in resumed._lanes[""].alarms] == \
+            [a.verdict for a in clean._lanes[""].alarms]
 
     def test_pre_attribution_snapshot_still_restores(self, model, threshold):
         """A plain run's snapshot carries no attributor state; restoring
-        it into an attribution-enabled detector must work."""
-        rows = mixed_rows()
-        plain = run_online(model, threshold, rows[:10], attribution=False)
+        it into an attribution-enabled one-lane fleet must work."""
+        plain = one_lane(model, threshold, mixed_rows()[:10], attribution=False)
         state = plain.snapshot()
         assert state["lanes"][""]["attributor"] is None
-        fresh = OnlineDetector(model, threshold, attribution=True)
+        fresh = one_lane(model, threshold)
         fresh.restore(state)  # no KeyError; attributor simply starts empty
-        assert fresh.attribution.verdicts == 0
+        assert fresh._attributors[""].verdicts == 0
 
 
 class TestFleetBitIdentity:

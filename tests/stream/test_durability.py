@@ -10,13 +10,15 @@ Two layers of guarantees are drilled here:
 * the **resume contract** — a run killed after *any* tick (Hypothesis
   picks the kill point), restored from its latest checkpoint and
   replayed to completion produces scores / alarms / fused verdicts
-  ``np.array_equal`` to the uninterrupted run, for single streams and
-  for fleets with injected chaos.
+  ``np.array_equal`` to the uninterrupted run, for a single stream (a
+  one-lane fleet) and for fleets with injected chaos; one driver,
+  :func:`run_durable_fleet`, runs both.
 """
 
 import hashlib
 import json
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -26,20 +28,15 @@ from hypothesis import strategies as st
 from repro.stream import (
     CheckpointError,
     FleetDetector,
-    OnlineDetector,
     StreamFaultPlan,
-    extractor_for_config,
     load_fleet_checkpoint,
-    load_stream_checkpoint,
     read_checkpoint,
-    save_stream_checkpoint,
     write_checkpoint,
 )
 from repro.stream.durability import (
     CHECKPOINT_VERSION,
     MAGIC,
     run_durable_fleet,
-    run_durable_stream,
 )
 from repro.stream.faults import apply_checkpoint_fault
 
@@ -61,23 +58,26 @@ def trace(request):
     return request.getfixturevalue("aodv_udp_trace")
 
 
+def one_lane(trace, threshold):
+    """A single stream: the one-lane fleet, with no fault breaker."""
+    fleet = FleetDetector(MODEL, threshold, max_consecutive_faults=sys.maxsize)
+    fleet.add_stream(0, sampling_period=trace.config.sampling_period)
+    return fleet
+
+
 @pytest.fixture(scope="module")
 def threshold(trace):
     """Median first-feature score: roughly half the windows alarm."""
-    online = OnlineDetector(MODEL, threshold=float("-inf"))
-    tap = extractor_for_config(trace.config, on_row=online.consume,
-                               keep_rows=False)
-    run_durable_stream(trace, tap, online)
-    return float(np.median(online.scores))
+    fleet = one_lane(trace, float("-inf"))
+    run_durable_fleet({"s0": trace}, fleet)
+    return float(np.median(fleet.result().streams["s0/n0"].scores))
 
 
 def stream_run(trace, threshold, **kwargs):
-    """One durable single-stream run; returns (detector, position, finished)."""
-    online = OnlineDetector(MODEL, threshold)
-    tap = extractor_for_config(trace.config, on_row=online.consume,
-                               keep_rows=False)
-    position, finished = run_durable_stream(trace, tap, online, **kwargs)
-    return online, position, finished
+    """One durable single-stream run; returns (lane result, position, finished)."""
+    fleet = one_lane(trace, threshold)
+    positions, finished = run_durable_fleet({"s0": trace}, fleet, **kwargs)
+    return fleet.result().streams["s0/n0"], positions["s0/n0"], finished
 
 
 # ----------------------------------------------------------------------
@@ -128,10 +128,8 @@ class TestCheckpointFormat:
             "fingerprint": hashlib.sha256(payload).hexdigest(),
         })
         path.write_bytes(MAGIC + header.encode() + b"\n" + payload)
-        online = OnlineDetector(MODEL, 0.5)
-        tap = extractor_for_config(trace.config, on_row=online.consume)
         with pytest.raises(CheckpointError, match="format version 1"):
-            load_stream_checkpoint(path, tap, online)
+            load_fleet_checkpoint(path, one_lane(trace, 0.5))
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -174,7 +172,7 @@ class TestStreamResume:
         ckpt = tmp_path / "s.ckpt"
         _, _, finished = stream_run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=3,
-            stop_after_ticks=clean.windows // 2,
+            stop_after_rounds=clean.windows // 2,
         )
         assert not finished and ckpt.exists()
 
@@ -198,7 +196,7 @@ class TestStreamResume:
         ckpt = tmp_path / f"kill{kill_at}.ckpt"
         _, _, finished = stream_run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-            stop_after_ticks=kill_at,
+            stop_after_rounds=kill_at,
         )
         assert not finished
         if not ckpt.exists():  # killed before the first checkpoint landed
@@ -219,19 +217,18 @@ class TestStreamResume:
         ckpt = tmp_path / "s.ckpt"
         killed, killed_pos, _ = stream_run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=4,
-            stop_after_ticks=8,
+            stop_after_rounds=8,
         )
-        online = OnlineDetector(MODEL, threshold)
-        tap = extractor_for_config(trace.config, on_row=online.consume,
-                                   keep_rows=False)
-        position = load_stream_checkpoint(ckpt, tap, online)
+        fleet = one_lane(trace, threshold)
+        position = load_fleet_checkpoint(ckpt, fleet)["s0/n0"]
         assert 0 < position <= killed_pos
-        assert online.scores == killed.scores[: len(online.scores)]
+        restored = fleet.result().streams["s0/n0"].scores
+        assert np.array_equal(restored, killed.scores[: len(restored)])
 
     def test_corrupt_checkpoint_fails_loudly(self, trace, threshold, tmp_path):
         ckpt = tmp_path / "s.ckpt"
         stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+                   stop_after_rounds=6)
         plan = StreamFaultPlan.parse("ckpt-corrupt:0")
         apply_checkpoint_fault(ckpt, plan.specs[0])
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
@@ -240,7 +237,7 @@ class TestStreamResume:
     def test_truncated_checkpoint_fails_loudly(self, trace, threshold, tmp_path):
         ckpt = tmp_path / "s.ckpt"
         stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+                   stop_after_rounds=6)
         apply_checkpoint_fault(
             ckpt, StreamFaultPlan.parse("ckpt-truncate:0").specs[0]
         )
@@ -253,7 +250,7 @@ class TestStreamResume:
         """The driver applies ckpt faults itself (the chaos-bench path)."""
         ckpt = tmp_path / "s.ckpt"
         stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+                   stop_after_rounds=6)
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
             stream_run(
                 trace, threshold, resume_from=ckpt,
@@ -361,11 +358,9 @@ class TestFleetResume:
     def test_stream_checkpoint_rejected_by_fleet_loader(
         self, trace, threshold, tmp_path
     ):
+        """A pre-fleet single-stream file fails the kind guard by name."""
         ckpt = tmp_path / "s.ckpt"
-        online = OnlineDetector(MODEL, threshold)
-        tap = extractor_for_config(trace.config, on_row=online.consume,
-                                   keep_rows=False)
-        save_stream_checkpoint(ckpt, 0, tap, online)
+        write_checkpoint(ckpt, "stream", {"position": 0, "detector": {}})
         with pytest.raises(CheckpointError, match="'stream'"):
             load_fleet_checkpoint(ckpt, make_fleet(trace, threshold))
 
@@ -457,3 +452,22 @@ class TestSessionDurable:
         clean = session.fleet_detect(plan, monitors=(0, 1, 2))
         assert np.array_equal(result.streams["s0/n0"].scores,
                               clean.streams["s0/n0"].scores)
+
+    def test_session_picks_the_consecutive_fault_breaker(self, plan, session):
+        """Six corrupt rows in a row seal a fleet lane "faulted"
+        (DEFAULT_MAX_FAULTS is 5); a single stream has no breaker, so it
+        quarantines the six and scores every other window."""
+        from repro.runtime import RuntimeMetrics, Session
+
+        faults = ",".join(f"corrupt-row:s0/n0:{k}" for k in range(3, 9))
+        fleet = session.fleet_detect(plan, row_policy="quarantine",
+                                     stream_faults=faults)
+        assert fleet.sealed == {"s0/n0": "faulted"}
+
+        solo = Session(cache=False, metrics=RuntimeMetrics())
+        stream = solo.stream_detect(plan, row_policy="quarantine",
+                                    stream_faults=faults)
+        clean = session.stream_detect(plan)
+        assert (clean.windows, stream.windows) == (21, 15)
+        assert solo.metrics.stream_faults == 6
+        assert solo.metrics.lanes_sealed == 0

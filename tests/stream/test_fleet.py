@@ -253,7 +253,8 @@ class TestFleetResult:
 
 
 class TestConstructionSymmetry:
-    """The shared keywords cannot drift apart across the four surfaces
+    """The shared keywords cannot drift apart: each is declared once, on
+    a constructor, and the Session surfaces repeat its default
     (documented once, in repro.stream.config)."""
 
     def params(self, fn):
@@ -263,21 +264,24 @@ class TestConstructionSymmetry:
         from repro.runtime.session import Session
 
         for fn in (OnlineDetector.from_detector, FleetDetector.from_detector,
-                   FleetDetector.from_session, Session.stream_detect,
-                   Session.fleet_detect):
+                   Session.stream_detect, Session.fleet_detect):
             assert self.params(fn)["threshold"].default is None, fn
+
+    def test_from_detector_forwards_to_the_constructor(self):
+        for cls in (OnlineDetector, FleetDetector):
+            assert list(self.params(cls.from_detector)) == \
+                ["detector", "threshold", "knobs"], cls
 
     def test_quorum_default_is_shared(self):
         from repro.runtime.session import Session
 
-        for fn in (FleetDetector.from_detector, FleetDetector.from_session,
-                   Session.fleet_detect):
+        for fn in (FleetDetector.__init__, Session.fleet_detect):
             assert self.params(fn)["quorum"].default == DEFAULT_QUORUM, fn
 
     def test_monitor_and_warmup_defaults_are_shared(self):
         from repro.runtime.session import Session
 
-        assert self.params(OnlineDetector.from_detector)["monitor"].default \
+        assert self.params(OnlineDetector.__init__)["monitor"].default \
                == DEFAULT_MONITOR
         assert self.params(FleetDetector.add_stream)["monitor"].default \
                == DEFAULT_MONITOR
@@ -287,17 +291,14 @@ class TestConstructionSymmetry:
         for fn, key in ((Session.stream_detect, "monitor"),
                         (Session.stream_detect, "warmup"),
                         (Session.fleet_detect, "monitors"),
-                        (Session.fleet_detect, "warmup"),
-                        (FleetDetector.from_session, "monitors"),
-                        (FleetDetector.from_session, "warmup")):
+                        (Session.fleet_detect, "warmup")):
             assert self.params(fn)[key].default is None, (fn, key)
 
     def test_attribution_default_is_shared(self):
         from repro.runtime.session import Session
         from repro.stream.config import DEFAULT_ATTRIBUTION
 
-        for fn in (OnlineDetector.from_detector, FleetDetector.from_detector,
-                   FleetDetector.from_session):
+        for fn in (OnlineDetector.__init__, FleetDetector.__init__):
             assert self.params(fn)["attribution"].default \
                    is DEFAULT_ATTRIBUTION, fn
         # The Session surfaces share the same (off-by-default) contract.
@@ -308,7 +309,7 @@ class TestConstructionSymmetry:
         from repro.runtime.session import Session
 
         reference = self.params(Session.fitted_detector)
-        for fn in (FleetDetector.from_session, Session.fleet_detect):
+        for fn in (Session.stream_detect, Session.fleet_detect):
             params = self.params(fn)
             for knob in ("classifier", "method", "false_alarm_rate",
                          "max_models", "n_buckets", "n_jobs"):

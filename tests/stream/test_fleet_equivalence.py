@@ -152,6 +152,6 @@ class TestSessionFleetDetect:
             assert len(fused.streams) >= fused.needed == 2
 
     def test_default_monitors_exclude_the_attacker(self, plan, session):
-        fleet = FleetDetector.from_session(session, plan)
-        monitors = {stream.monitor for stream in fleet.taps()}
+        result = session.fleet_detect(plan)
+        monitors = {stream.monitor for stream in result.streams.values()}
         assert monitors == set(range(plan.n_nodes)) - {plan.attacker}

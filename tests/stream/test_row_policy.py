@@ -24,7 +24,7 @@ from repro.stream import (
     StreamFaultSpec,
     validate_row_policy,
 )
-from repro.stream.extractor import WindowRow
+from repro.stream.extractor import StreamingExtractor, WindowRow
 from repro.stream.faults import RowFaultInjector, corrupt_row
 
 
@@ -72,6 +72,49 @@ class TestPolicyConfig:
     def test_stall_timeout_must_be_positive(self):
         with pytest.raises(ValueError, match="stall_timeout"):
             FleetDetector(MODEL, 0.5, stall_timeout=0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (constructor call, the parameter its ValueError must name).
+BAD_CONSTRUCTIONS = [
+    (lambda: FleetDetector(MODEL, NAN), "threshold"),
+    (lambda: OnlineDetector(MODEL, NAN), "threshold"),
+    (lambda: FleetDetector(MODEL, 0.5, stall_timeout=NAN), "stall_timeout"),
+    (lambda: FleetDetector(MODEL, 0.5, stall_timeout=INF), "stall_timeout"),
+    (lambda: FleetDetector(MODEL, 0.5, max_consecutive_faults=-1),
+     "max_consecutive_faults"),
+    (lambda: FleetDetector(MODEL, 0.5, max_consecutive_faults=NAN),
+     "max_consecutive_faults"),
+    (lambda: FleetDetector(MODEL, 0.5, method="bogus"), "method"),
+    (lambda: OnlineDetector(MODEL, 0.5, method="bogus"), "method"),
+    (lambda: StreamingExtractor(warmup=NAN), "warmup"),
+    (lambda: StreamingExtractor(warmup=-1.0), "warmup"),
+    (lambda: StreamingExtractor(warmup=INF), "warmup"),
+    (lambda: FleetDetector(MODEL, 0.5).add_stream(warmup=NAN), "warmup"),
+    (lambda: StreamingExtractor(sampling_period=NAN), "sampling_period"),
+    (lambda: StreamingExtractor(sampling_period=INF), "sampling_period"),
+    (lambda: StreamingExtractor(periods=(-5.0,)), "periods"),
+    (lambda: StreamingExtractor(periods=(NAN,)), "periods"),
+    (lambda: StreamingExtractor(periods=(5.0, INF)), "periods"),
+]
+
+
+class TestConstructorValidation:
+    """Bad construction values fail at once, naming the parameter,
+    instead of being accepted and never alarming, never sealing or
+    failing on the first scored bucket."""
+
+    @pytest.mark.parametrize("build, name", BAD_CONSTRUCTIONS)
+    def test_bad_value_is_rejected_by_name(self, build, name):
+        with pytest.raises(ValueError, match=name):
+            build()
+
+    def test_edge_values_are_accepted(self):
+        fleet = FleetDetector(MODEL, -INF, max_consecutive_faults=0)
+        fleet.add_stream(warmup=0.0)
+        assert OnlineDetector(MODEL, INF, method="match_count").threshold == INF
+        assert StreamingExtractor(warmup=0.0, periods=(5.0, 60.0)).warmup == 0.0
 
 
 # ----------------------------------------------------------------------
