@@ -38,6 +38,24 @@ import argparse
 import sys
 
 from repro.core.model import SCORING_METHODS
+from repro.runtime.metrics import COUNTERS, EVENT_KINDS
+from repro.stream.config import DEFAULT_QUORUM, validate_quorum
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _quorum(text: str) -> int | float:
+    """argparse type: an int k-of-n quorum, or a fraction if it has a dot."""
+    try:
+        return validate_quorum(float(text) if "." in text else int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid quorum {text!r}: {exc}") from None
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -47,6 +65,20 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=1000.0)
     parser.add_argument("--connections", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_plan_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_plan` reads: the scenario plus the attack."""
+    _add_scenario_args(parser)
+    parser.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
+                        default="mixed")
+
+
+def _add_detector_args(parser: argparse.ArgumentParser) -> None:
+    """The detector-training flags of the detect, stream and fleet commands."""
+    parser.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
+    parser.add_argument("--method", choices=SCORING_METHODS,
+                        default="calibrated_probability")
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
@@ -69,13 +101,13 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
              "simulation is cancelled and retried (default: no timeout)",
     )
     parser.add_argument(
-        "--task-retries", type=int, default=None, metavar="N",
+        "--task-retries", type=int, default=2, metavar="N",
         help="retry budget per trace before the run fails (default: 2)",
     )
     parser.add_argument(
         "--bench", default=None, metavar="FILE",
-        help="after the run, dump runtime metrics (stage timings, cache "
-             "counters, per-trace wall-clock) to FILE as JSON",
+        help="after the run, dump runtime metrics (every event counter, "
+             "stage timings, per-trace wall-clock) to FILE as JSON",
     )
     # Hidden chaos-testing hook: a deterministic fault-injection script,
     # e.g. --inject-faults crash:2,hang:0:1+2,cache-enospc:1
@@ -84,15 +116,27 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--inject-faults", default=None, help=argparse.SUPPRESS)
 
 
-def _add_durability_args(parser: argparse.ArgumentParser) -> None:
-    """Durable-run flags shared by the stream and fleet commands."""
+def _add_stream_args(parser: argparse.ArgumentParser) -> None:
+    """The live-stream and durable-run flags shared by stream and fleet."""
+    parser.add_argument("--normal", action="store_true",
+                        help="stream an intrusion-free trace (alarm rate should "
+                             "approach the calibrated false-alarm rate)")
+    parser.add_argument("--stream-seed", type=int, default=None, metavar="SEED",
+                        help="mobility seed of the streamed trace (default: the "
+                             "plan's first attack seed, or first normal seed "
+                             "with --normal)")
+    parser.add_argument("--attribution", action="store_true",
+                        help="classify each alarm: [ALARM] (and fleet [FUSED]) "
+                             "lines gain type=<anomaly class> "
+                             "features=<culprits> onset=<estimated start> "
+                             "fragments (scores/alarms unchanged)")
     parser.add_argument(
         "--checkpoint", default=None, metavar="FILE",
         help="snapshot the full streaming state to FILE during the run "
              "(atomic, fingerprinted; see repro.stream.durability)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
         help="checkpoint cadence in sampling ticks (default: 16)",
     )
     parser.add_argument(
@@ -115,84 +159,18 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _progress_printer(event) -> None:
-    """Live per-trace progress lines, fed by the metrics hook."""
-    if event.kind == "cache_hit":
-        print(f"  [cache]  {event.label}")
-    elif event.kind == "resumed":
-        print(f"  [resume] {event.label}")
-    elif event.kind == "simulated":
-        print(f"  [sim]    {event.label}  ({event.seconds:.1f}s)")
-    elif event.kind == "retry":
-        print(f"  [retry]  {event.label}")
-    elif event.kind == "timeout":
-        print(f"  [timeout] {event.label}  (limit {event.seconds:.0f}s)")
-    elif event.kind == "alarm":
-        print(f"  [ALARM]  {event.label}")
-    elif event.kind == "fused_alarm":
-        print(f"  [FUSED]  {event.label}")
-    elif event.kind == "stream_fault":
-        print(f"  [FAULT]  {event.label}")
-    elif event.kind == "lane_sealed":
-        print(f"  [SEAL]   {event.label}")
-    elif event.kind == "duplicate_seal":
-        print(f"  [SEAL]   {event.label} (duplicate, no-op)")
-    elif event.kind == "checkpoint":
-        print(f"  [CKPT]   saved {event.label}")
-    elif event.kind == "restore":
-        print(f"  [CKPT]   restored {event.label}")
-    elif event.kind in ("fallback", "respawn", "task_failed", "pool_failed",
-                        "cache_write_failed", "cache_off"):
-        print(f"  [runtime] {event.label}")
+    """Live progress lines, fed by the metrics hook: the event kind's
+    declared line, if it has one."""
+    line = EVENT_KINDS[event.kind].line
+    if line is not None:
+        print(line.format(label=event.label, seconds=event.seconds))
 
 
-def _build_session(args: argparse.Namespace):
-    """A Session wired to the CLI's runtime flags + live progress."""
-    from repro.runtime import FaultPlan, RuntimeMetrics, Session
-
-    faults = (
-        FaultPlan.parse(args.inject_faults)
-        if getattr(args, "inject_faults", None) else None
-    )
-    return Session(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        metrics=RuntimeMetrics(on_event=_progress_printer),
-        task_timeout=args.task_timeout,
-        max_retries=args.task_retries,
-        faults=faults,
-    )
-
-
-def _dump_metrics(session, args: argparse.Namespace) -> None:
-    """Honour ``--bench FILE``: write the session's runtime metrics."""
-    path = getattr(args, "bench", None)
-    if not path:
-        return
-    import json
-
-    m = session.metrics
-    payload = {
-        "stage_seconds": {k: round(v, 4) for k, v in m.stage_seconds.items()},
-        "trace_seconds": [(label, round(s, 4)) for label, s in m.trace_seconds],
-        "simulations": m.simulations,
-        "cache_hits": m.cache_hits,
-        "cache_misses": m.cache_misses,
-        "retries": m.retries,
-        "timeouts": m.timeouts,
-        "summary": m.summary(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"runtime metrics written to {path}")
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run one scenario and print trace statistics."""
+def _scenario(args: argparse.Namespace):
+    """The one scenario the simulate command runs."""
     from repro.simulation.scenario import ScenarioConfig
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         protocol=args.protocol,
         transport=args.transport,
         n_nodes=args.nodes,
@@ -200,7 +178,59 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_connections=args.connections,
         seed=args.seed,
     )
-    session = _build_session(args)
+
+
+def _plan(args: argparse.Namespace):
+    """The test condition of the detect, stream, fleet and report commands."""
+    from repro.eval.experiments import ExperimentPlan
+
+    return ExperimentPlan(
+        protocol=args.protocol,
+        transport=args.transport,
+        n_nodes=args.nodes,
+        duration=args.duration,
+        max_connections=args.connections,
+        attack_kind=args.attack,
+    )
+
+
+def _build_session(args: argparse.Namespace):
+    """A Session wired to the CLI's runtime flags + live progress."""
+    from repro.runtime import FaultPlan, RuntimeMetrics, Session
+
+    return Session(
+        cache_dir=args.cache_dir,
+        jobs=args.jobs,
+        cache=not args.no_cache,
+        metrics=RuntimeMetrics(on_event=_progress_printer),
+        task_timeout=args.task_timeout,
+        max_retries=args.task_retries,
+        faults=FaultPlan.parse(args.inject_faults) if args.inject_faults else None,
+    )
+
+
+def _dump_metrics(session, args: argparse.Namespace) -> None:
+    """Honour ``--bench FILE``: write every runtime counter and timing."""
+    if not args.bench:
+        return
+    import json
+
+    m = session.metrics
+    payload = {name: getattr(m, name) for name in COUNTERS}
+    payload.update(
+        fleet_windows=m.fleet_windows,
+        stage_seconds={k: round(v, 4) for k, v in m.stage_seconds.items()},
+        trace_seconds=[(label, round(s, 4)) for label, s in m.trace_seconds],
+        summary=m.summary(),
+    )
+    with open(args.bench, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"runtime metrics written to {args.bench}")
+
+
+def cmd_simulate(args: argparse.Namespace, config, session) -> int:
+    """Run one scenario and print trace statistics."""
     print(f"simulating {args.protocol}/{args.transport}: "
           f"{args.nodes} nodes, {args.duration:.0f}s ...")
     trace = session.trace(config)
@@ -214,19 +244,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+def cmd_detect(args: argparse.Namespace, plan, session) -> int:
     """Run a full detection experiment and print its metrics."""
-    from repro.eval.experiments import ExperimentPlan
-
-    plan = ExperimentPlan(
-        protocol=args.protocol,
-        transport=args.transport,
-        n_nodes=args.nodes,
-        duration=args.duration,
-        max_connections=args.connections,
-        attack_kind=args.attack,
-    )
-    session = _build_session(args)
     print(f"running detection experiment: {args.protocol}/{args.transport}, "
           f"attack={args.attack}, classifier={args.classifier}, "
           f"jobs={session.jobs}")
@@ -246,19 +265,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stream(args: argparse.Namespace) -> int:
+def cmd_stream(args: argparse.Namespace, plan, session) -> int:
     """Train offline, then stream one live scenario through the detector."""
-    from repro.eval.experiments import ExperimentPlan
-
-    plan = ExperimentPlan(
-        protocol=args.protocol,
-        transport=args.transport,
-        n_nodes=args.nodes,
-        duration=args.duration,
-        max_connections=args.connections,
-        attack_kind=args.attack,
-    )
-    session = _build_session(args)
     kind = "normal (no attack)" if args.normal else f"attack={args.attack}"
     print(f"streaming online detection: {args.protocol}/{args.transport}, "
           f"{kind}, classifier={args.classifier}, jobs={session.jobs}")
@@ -293,35 +301,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
+def cmd_fleet(args: argparse.Namespace, plan, session) -> int:
     """Train offline, then stream every monitored node through one fleet."""
-    from repro.eval.experiments import ExperimentPlan
-
-    plan = ExperimentPlan(
-        protocol=args.protocol,
-        transport=args.transport,
-        n_nodes=args.nodes,
-        duration=args.duration,
-        max_connections=args.connections,
-        attack_kind=args.attack,
-    )
     if args.monitors is None:
         monitors = None
         n_monitors = plan.n_nodes - 1
     else:
-        if args.monitors < 1:
-            print("--monitors must be >= 1", file=sys.stderr)
-            return 2
         monitors = [n for n in range(plan.n_nodes) if n != plan.attacker]
         monitors = monitors[: args.monitors]
         n_monitors = len(monitors)
-    quorum: int | float = (
-        float(args.quorum) if "." in args.quorum else int(args.quorum)
-    )
-    session = _build_session(args)
     kind = "normal (no attack)" if args.normal else f"attack={args.attack}"
     print(f"fleet detection: {args.protocol}/{args.transport}, {kind}, "
-          f"{n_monitors} monitored nodes, quorum={quorum}, "
+          f"{n_monitors} monitored nodes, quorum={args.quorum}, "
           f"classifier={args.classifier}, jobs={session.jobs}")
     print("training detector on cached normal traces ...")
     session.fitted_detector(plan, classifier=args.classifier, method=args.method)
@@ -333,7 +324,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         seeds=[args.stream_seed] if args.stream_seed is not None else None,
         attack=not args.normal,
         monitors=monitors,
-        quorum=quorum,
+        quorum=args.quorum,
         row_policy=args.row_policy,
         attribution=args.attribution,
         stall_timeout=args.stall_timeout,
@@ -356,20 +347,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, plan, session) -> int:
     """Run all three classifiers on one condition and print the report."""
-    from repro.eval.experiments import ExperimentPlan
     from repro.eval.report import scenario_report
 
-    plan = ExperimentPlan(
-        protocol=args.protocol,
-        transport=args.transport,
-        n_nodes=args.nodes,
-        duration=args.duration,
-        max_connections=args.connections,
-        attack_kind=args.attack,
-    )
-    session = _build_session(args)
     print("simulating traces and training all classifiers "
           "(this takes a few minutes) ...")
     print(scenario_report(plan, session=session))
@@ -405,104 +386,71 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one MANET scenario")
     _add_scenario_args(p_sim)
     _add_runtime_args(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, build=_scenario)
 
     p_det = sub.add_parser("detect", help="run a full detection experiment")
-    _add_scenario_args(p_det)
+    _add_plan_args(p_det)
     _add_runtime_args(p_det)
-    p_det.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
-    p_det.add_argument(
-        "--method",
-        choices=SCORING_METHODS,
-        default="calibrated_probability",
-    )
-    p_det.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
-                       default="mixed")
-    p_det.set_defaults(func=cmd_detect)
+    _add_detector_args(p_det)
+    p_det.set_defaults(func=cmd_detect, build=_plan)
 
     p_str = sub.add_parser(
         "stream", help="online detection over one live streamed scenario"
     )
-    _add_scenario_args(p_str)
+    _add_plan_args(p_str)
     _add_runtime_args(p_str)
-    p_str.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
-    p_str.add_argument(
-        "--method",
-        choices=SCORING_METHODS,
-        default="calibrated_probability",
-    )
-    p_str.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
-                       default="mixed")
-    p_str.add_argument("--normal", action="store_true",
-                       help="stream an intrusion-free trace (alarm rate should "
-                            "approach the calibrated false-alarm rate)")
-    p_str.add_argument("--stream-seed", type=int, default=None, metavar="SEED",
-                       help="mobility seed of the streamed trace (default: the "
-                            "plan's first attack seed, or first normal seed "
-                            "with --normal)")
-    p_str.add_argument("--attribution", action="store_true",
-                       help="classify each alarm: [ALARM] lines gain "
-                            "type=<anomaly class> features=<culprits> "
-                            "onset=<estimated start> fragments "
-                            "(scores/alarms unchanged)")
-    _add_durability_args(p_str)
-    p_str.set_defaults(func=cmd_stream)
+    _add_detector_args(p_str)
+    _add_stream_args(p_str)
+    p_str.set_defaults(func=cmd_stream, build=_plan)
 
     p_flt = sub.add_parser(
         "fleet", help="multiplexed online detection across every monitored node"
     )
-    _add_scenario_args(p_flt)
+    _add_plan_args(p_flt)
     _add_runtime_args(p_flt)
-    p_flt.add_argument("--classifier", choices=["c45", "ripper", "nbc"], default="c45")
-    p_flt.add_argument(
-        "--method",
-        choices=SCORING_METHODS,
-        default="calibrated_probability",
-    )
-    p_flt.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
-                       default="mixed")
-    p_flt.add_argument("--normal", action="store_true",
-                       help="stream an intrusion-free trace")
-    p_flt.add_argument("--stream-seed", type=int, default=None, metavar="SEED",
-                       help="mobility seed of the streamed trace (default: the "
-                            "plan's first attack seed, or first normal seed "
-                            "with --normal)")
-    p_flt.add_argument("--monitors", type=int, default=None, metavar="M",
+    _add_detector_args(p_flt)
+    _add_stream_args(p_flt)
+    p_flt.add_argument("--monitors", type=_positive_int, default=None, metavar="M",
                        help="monitor only the first M non-attacker nodes "
                             "(default: all of them)")
-    p_flt.add_argument("--quorum", default="1", metavar="K",
+    p_flt.add_argument("--quorum", type=_quorum, default=DEFAULT_QUORUM, metavar="K",
                        help="fused-alarm vote: an integer is absolute k-of-n; "
                             "a fraction in (0,1] is a share of the streams "
                             "reporting on that tick (default: 1)")
-    p_flt.add_argument("--attribution", action="store_true",
-                       help="classify alarms per lane and fuse typed votes: "
-                            "[ALARM]/[FUSED] lines gain type=... features=... "
-                            "fragments (scores/alarms unchanged)")
-    _add_durability_args(p_flt)
     p_flt.add_argument("--stall-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="seal a lane 'stalled' once its clock lags the "
                             "most advanced lane of its scenario by more than "
                             "this many simulation seconds (default: never)")
-    p_flt.set_defaults(func=cmd_fleet)
+    p_flt.set_defaults(func=cmd_fleet, build=_plan)
 
     p_rep = sub.add_parser("report", help="compare all classifiers on one condition")
-    _add_scenario_args(p_rep)
+    _add_plan_args(p_rep)
     _add_runtime_args(p_rep)
-    p_rep.add_argument("--attack", choices=["mixed", "blackhole", "dropping"],
-                       default="mixed")
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, build=_plan)
 
     p_ill = sub.add_parser("illustrate", help="print the paper's §3 example")
-    p_ill.set_defaults(func=cmd_illustrate)
+    p_ill.set_defaults(func=cmd_illustrate, build=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A value the scenario, plan or session constructors reject is a usage
+    error, as argparse's own are: one line on stderr and exit status 2.
+    Errors raised later in a run keep their traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.build is None:
+        return args.func(args)
+    try:
+        target = args.build(args)
+        session = _build_session(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args.func(args, target, session)
 
 
 if __name__ == "__main__":  # pragma: no cover

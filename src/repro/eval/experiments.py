@@ -34,8 +34,9 @@ from repro.attacks.base import Attack
 from repro.core.model import CrossFeatureDetector
 from repro.eval.metrics import PrCurve, area_above_diagonal, optimal_point, precision_recall_curve
 from repro.features.extraction import FeatureDataset, extract_features
+from repro.features.traffic import validate_periods
 from repro.ml import CLASSIFIERS
-from repro.simulation.scenario import ScenarioConfig, SimulationTrace
+from repro.simulation.scenario import LABEL_POLICIES, ScenarioConfig, SimulationTrace
 
 ATTACK_KINDS = ("mixed", "blackhole", "dropping")
 
@@ -87,10 +88,28 @@ class ExperimentPlan:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if not 0 <= self.warmup < math.inf:
             raise ValueError(f"warmup must be non-negative and finite, got {self.warmup!r}")
-        if self.attack_kind not in ATTACK_KINDS:
-            raise ValueError(f"attack_kind must be one of {ATTACK_KINDS}")
+        validate_periods(self.periods)
+        if not 0 <= self.monitor < self.n_nodes:
+            raise ValueError(
+                f"monitor must be in [0, {self.n_nodes}), got {self.monitor!r}"
+            )
         if self.monitor == self.attacker:
             raise ValueError("monitor must differ from the attacker")
+        if self.attack_kind not in ATTACK_KINDS:
+            raise ValueError(f"attack_kind must be one of {ATTACK_KINDS}")
+        drop_modes = [mode.value for mode in DropMode]
+        if self.drop_mode not in drop_modes:
+            raise ValueError(f"drop_mode must be one of {drop_modes}, got {self.drop_mode!r}")
+        for name in ("blackhole_start_frac", "dropping_start_frac"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+        if not 0 < self.session_frac <= 1:
+            raise ValueError(f"session_frac must be in (0, 1], got {self.session_frac!r}")
+        if self.label_policy not in LABEL_POLICIES:
+            raise ValueError(
+                f"label_policy must be one of {LABEL_POLICIES}, got {self.label_policy!r}"
+            )
 
     @property
     def attacker(self) -> int:

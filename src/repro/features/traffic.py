@@ -20,7 +20,9 @@ Total: (6 x 4 - 2) x 3 x 2 = **132 features**.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -78,6 +80,18 @@ class TrafficFeatureSpec:
             periods.index(self.period),
             MEASURE_NAMES.index(self.measure),
         )
+
+
+def validate_periods(periods: Sequence[float]) -> tuple[float, ...]:
+    """Check Feature Set II sampling periods: at least one, each
+    positive and finite."""
+    periods = tuple(periods)
+    if not periods:
+        raise ValueError("periods must name at least one sampling period")
+    # Negated comparison, so NaN fails it too.
+    if not all(0 < p < math.inf for p in periods):
+        raise ValueError(f"periods must be positive and finite, got {periods!r}")
+    return tuple(float(p) for p in periods)
 
 
 def traffic_feature_grid(

@@ -22,10 +22,11 @@
   injection (worker crashes, hangs, pickling failures, disk faults) so
   every recovery path above is exercised in CI;
 * :class:`~repro.runtime.metrics.RuntimeMetrics` /
-  :class:`~repro.runtime.metrics.TraceEvent` — timing, hit/miss and
-  supervision counters plus the live progress hook;
-* :class:`~repro.runtime.profiling.StageProfiler` — one cProfile table
-  per pipeline stage behind ``Session(profile_stages=True)``.
+  :class:`~repro.runtime.metrics.TraceEvent` — one recorder,
+  ``record(kind, label, seconds)``, over the event kinds declared once in
+  :data:`~repro.runtime.metrics.EVENT_KINDS`, from which the timing,
+  cache, supervision and streaming counters, the summary line and the
+  CLI's live progress lines all derive.
 """
 
 from repro.runtime.cache import (

@@ -44,9 +44,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.runtime.metrics import RuntimeMetrics
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.faults import FaultPlan
-    from repro.runtime.metrics import RuntimeMetrics
 
 #: Packages whose source participates in the artifact code version — the
 #: ones whose behaviour determines a simulated trace.  Detection-side code
@@ -184,9 +185,10 @@ class ArtifactCache:
         recently used) entries are removed after every write until both
         hold.
     metrics:
-        Optional :class:`~repro.runtime.metrics.RuntimeMetrics` that
-        receives eviction and write-failure events.  Hit/miss accounting
-        stays with the caller, which knows what the artifact *is*.
+        The :class:`~repro.runtime.metrics.RuntimeMetrics` that receives
+        eviction and write-failure events (one is created otherwise).
+        Hit/miss accounting stays with the caller, which knows what the
+        artifact *is*.
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan`; cache-kind
         specs are matched against this instance's put ordinal
@@ -202,7 +204,7 @@ class ArtifactCache:
         cache_dir: str | os.PathLike | None = None,
         max_entries: int = 512,
         max_bytes: int = 4 << 30,
-        metrics: "RuntimeMetrics | None" = None,
+        metrics: RuntimeMetrics | None = None,
         faults: "FaultPlan | None" = None,
     ):
         # Negated comparisons, so NaN fails them too.
@@ -212,7 +214,7 @@ class ArtifactCache:
         self.dir = Path(cache_dir).expanduser() if cache_dir is not None else default_cache_dir()
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.faults = faults
         self.writes_disabled = False
         self._put_ordinal = 0
@@ -222,10 +224,7 @@ class ArtifactCache:
         except OSError as exc:
             # Unwritable cache location: degrade to cache-off, never crash.
             self.writes_disabled = True
-            if self.metrics is not None:
-                self.metrics.record_cache_disabled(
-                    f"cannot create cache dir {self.dir}: {exc}"
-                )
+            self.metrics.record("cache_off", f"cannot create cache dir {self.dir}: {exc}")
 
     # ------------------------------------------------------------------
     def key(self, payload: Any) -> str:
@@ -287,18 +286,15 @@ class ArtifactCache:
                 )
         except (OSError, pickle.PicklingError) as exc:
             self._consecutive_write_failures += 1
-            if self.metrics is not None:
-                self.metrics.record_cache_write_failure(
-                    f"{type(exc).__name__}: {exc}"
-                )
+            self.metrics.record("cache_write_failed", f"{type(exc).__name__}: {exc}")
             if (not self.writes_disabled
                     and self._consecutive_write_failures >= self._DISABLE_WRITES_AFTER):
                 self.writes_disabled = True
-                if self.metrics is not None:
-                    self.metrics.record_cache_disabled(
-                        f"{self._consecutive_write_failures} consecutive "
-                        f"write failures; cache is now read-only"
-                    )
+                self.metrics.record(
+                    "cache_off",
+                    f"{self._consecutive_write_failures} consecutive "
+                    f"write failures; cache is now read-only",
+                )
             return False
         self._consecutive_write_failures = 0
         self._evict()
@@ -324,8 +320,7 @@ class ArtifactCache:
             _, size, path = entries.pop(0)
             path.unlink(missing_ok=True)
             total -= size
-            if self.metrics is not None:
-                self.metrics.record_eviction(path.stem)
+            self.metrics.record("evicted", path.stem)
 
     # ------------------------------------------------------------------
     def stats(self) -> tuple[int, int]:

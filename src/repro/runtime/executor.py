@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.runtime.faults import FaultPlan, FaultSpec, trip_sim_fault
+from repro.runtime.metrics import RuntimeMetrics
 from repro.simulation.scenario import ScenarioConfig, SimulationTrace, run_scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.attacks.base import Attack
-    from repro.runtime.metrics import RuntimeMetrics
 
 #: Injectable sleep for tests (monkeypatch to skip real backoff waits).
 _sleep = time.sleep
@@ -233,10 +233,11 @@ class TraceExecutor:
         Maximum worker processes.  ``1`` (the default) never spawns a
         pool; higher values use up to ``min(jobs, len(tasks))`` workers.
     metrics:
-        Optional :class:`~repro.runtime.metrics.RuntimeMetrics`; receives
-        one ``simulated`` event per finished trace (completion order) plus
-        ``retry`` / ``timeout`` / ``requeue`` / ``respawn`` / ``fallback``
-        / ``task_failed`` / ``pool_failed`` supervision events.
+        The :class:`~repro.runtime.metrics.RuntimeMetrics` to record into
+        (one is created otherwise); receives one ``simulated`` event per
+        finished trace (completion order) plus ``retry`` / ``timeout`` /
+        ``requeue`` / ``respawn`` / ``fallback`` / ``task_failed`` /
+        ``pool_failed`` supervision events.
     policy:
         A :class:`SupervisionPolicy` (defaults: 2 retries, no timeout,
         2 pool respawns).
@@ -255,14 +256,14 @@ class TraceExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        metrics: "RuntimeMetrics | None" = None,
+        metrics: RuntimeMetrics | None = None,
         policy: SupervisionPolicy | None = None,
         faults: FaultPlan | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.faults = faults
 
@@ -291,8 +292,9 @@ class TraceExecutor:
             try:
                 self._run_parallel(state, on_result)
             except self._POOL_ERRORS as exc:
-                self._record_fallback(
-                    f"process pool unavailable ({type(exc).__name__}); running serially"
+                self.metrics.record(
+                    "fallback",
+                    f"process pool unavailable ({type(exc).__name__}); running serially",
                 )
         self._run_serial(state, on_result)
         if state.task_failures:
@@ -310,8 +312,7 @@ class TraceExecutor:
     def _complete(self, state, i, trace, seconds, on_result) -> None:
         state.results[i] = trace
         state.done[i] = True
-        if self.metrics is not None:
-            self.metrics.record_simulated(state.label(i), seconds)
+        self.metrics.record("simulated", state.label(i), seconds)
         if on_result is not None:
             on_result(i, trace)
 
@@ -322,8 +323,7 @@ class TraceExecutor:
             attempts=state.attempts[i], error=error,
         )
         state.task_failures.append(failure)
-        if self.metrics is not None:
-            self.metrics.record_task_failure(state.label(i), f"{kind}: {error}")
+        self.metrics.record("task_failed", f"{state.label(i)}: {kind}: {error}")
 
     def _charge_submission(self, state, i) -> bool:
         """Advance task ``i``'s counters for one submission.
@@ -341,22 +341,18 @@ class TraceExecutor:
         state.submissions[i] += 1
         if charged:
             state.attempts[i] += 1
-            if state.attempts[i] > 1 and self.metrics is not None:
-                self.metrics.record_retry(
-                    state.label(i), self.policy.backoff(state.attempts[i] - 1)
+            if state.attempts[i] > 1:
+                self.metrics.record(
+                    "retry", state.label(i), self.policy.backoff(state.attempts[i] - 1)
                 )
-        elif self.metrics is not None:
-            self.metrics.record_requeue(state.label(i))
+        else:
+            self.metrics.record("requeue", state.label(i))
         return True
 
     def _task_fault(self, state, i) -> FaultSpec | None:
         if self.faults is None:
             return None
         return self.faults.sim_fault(i, state.submissions[i])
-
-    def _record_fallback(self, reason: str) -> None:
-        if self.metrics is not None:
-            self.metrics.record_fallback(reason)
 
     # ------------------------------------------------------------------
     # Serial path (jobs<=1, trivial batches, and the pool fallback) —
@@ -410,14 +406,12 @@ class TraceExecutor:
                     f"(budget {self.policy.max_pool_respawns}); finishing serially",
                 )
                 state.pool_failures.append(failure)
-                if self.metrics is not None:
-                    self.metrics.record_pool_failure(failure.error)
-                self._record_fallback(failure.error)
+                self.metrics.record("pool_failed", failure.error)
+                self.metrics.record("fallback", failure.error)
                 return
-            if self.metrics is not None:
-                self.metrics.record_respawn(
-                    f"respawn {respawns}/{self.policy.max_pool_respawns}"
-                )
+            self.metrics.record(
+                "respawn", f"respawn {respawns}/{self.policy.max_pool_respawns}"
+            )
 
     def _drive_pool(self, pool, state: _BatchState, todo, on_result) -> bool:
         """Supervise one pool until the batch finishes or the pool dies.
@@ -533,10 +527,9 @@ class TraceExecutor:
                 if overdue:
                     for fut in overdue:
                         i = futures[fut]
-                        if self.metrics is not None:
-                            self.metrics.record_timeout(
-                                state.label(i), self.policy.task_timeout or 0.0
-                            )
+                        self.metrics.record(
+                            "timeout", state.label(i), self.policy.task_timeout or 0.0
+                        )
                         if state.attempts[i] > self.policy.max_retries:
                             self._fail(
                                 state, i, "timeout",

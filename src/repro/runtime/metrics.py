@@ -1,13 +1,17 @@
 """Progress and timing instrumentation for the runtime layer.
 
 A :class:`RuntimeMetrics` instance rides along with every
-:class:`~repro.runtime.session.Session`: the executor reports per-trace
-wall-clock plus every supervision decision (retries, timeouts, requeues,
-pool respawns, permanent failures), the artifact cache reports hits /
-misses / evictions / write failures, the resume journal reports traces
-recovered from an interrupted sweep, and an optional callback hook
-receives each :class:`TraceEvent` as it happens — the CLI uses it to
-print live progress while traces simulate.
+:class:`~repro.runtime.session.Session`.  Every observable runtime
+happening is one :class:`TraceEvent` of a kind declared once, in
+:data:`EVENT_KINDS`, and :meth:`RuntimeMetrics.record` is its only
+recorder: the executor reports per-trace wall-clock and every
+supervision decision (retries, timeouts, requeues, pool respawns,
+permanent failures), the artifact cache its evictions and write
+failures, and the session its cache hits / misses, resumed traces,
+stage timings and streaming events.  The counters,
+:meth:`~RuntimeMetrics.reset`, :meth:`~RuntimeMetrics.summary`, the
+CLI's live progress lines and its ``--bench`` dump all derive from that
+table, and an optional callback hook receives each event as it happens.
 """
 
 from __future__ import annotations
@@ -20,63 +24,8 @@ from typing import Callable
 class TraceEvent:
     """One observable runtime happening, delivered to the metrics hook.
 
-    ``kind`` is one of:
-
-    * ``"cache_hit"`` — an artifact was loaded from the on-disk cache;
-    * ``"cache_miss"`` — an artifact was absent (or unreadable) on disk;
-    * ``"simulated"`` — a trace finished simulating (``seconds`` holds its
-      wall-clock);
-    * ``"evicted"`` — a cache entry was removed by the eviction policy;
-    * ``"fallback"`` — the process pool was unavailable (or its respawn
-      budget ran out) and the executor fell back to serial execution
-      (``label`` holds the reason);
-    * ``"retry"`` — a failed or timed-out task was resubmitted
-      (``seconds`` holds the backoff that preceded it);
-    * ``"timeout"`` — a task overran the per-task timeout and its worker
-      was cancelled (``seconds`` holds the limit);
-    * ``"requeue"`` — an unfinished task was resubmitted after a pool
-      respawn through no fault of its own (no retry budget charged);
-    * ``"respawn"`` — a broken or deliberately killed process pool was
-      replaced (``label`` holds the reason);
-    * ``"resumed"`` — a journaled trace from an interrupted sweep was
-      served from the cache instead of re-simulating;
-    * ``"task_failed"`` — a task exhausted its retry budget (``label``
-      holds the task label, the failure is in the final
-      :class:`~repro.runtime.executor.FailureReport`);
-    * ``"pool_failed"`` — pool infrastructure failed permanently
-      (``label`` holds the reason);
-    * ``"cache_write_failed"`` — an artifact-cache write was refused by
-      the disk (``label`` holds the error);
-    * ``"cache_off"`` — repeated write failures disabled cache writes for
-      the rest of the run;
-    * ``"alarm"`` — the online detector raised an anomaly alarm during a
-      streaming run (``label`` describes it, ``seconds`` holds the
-      scoring latency);
-    * ``"fused_alarm"`` — a fleet run's cross-monitor quorum fused the
-      per-stream alarms into a network-level verdict (``label``
-      describes it, ``seconds`` holds the batch scoring latency);
-    * ``"verdict"`` — attribution classified an alarm (``label`` holds
-      the typed ``type=... features=...`` fragment; the alarm's own
-      ``"alarm"``/``"fused_alarm"`` event carries the same fragment, so
-      the CLI prints alarms once and this event stays count-only);
-    * ``"fleet_batch"`` — the fleet scored one tick's window bucket in
-      a single vectorized call (``label`` holds the batch size,
-      ``seconds`` the call's wall-clock);
-    * ``"stream_fault"`` — a quarantine-mode detector caught a degraded
-      row (late / duplicate / NaN / out-of-range; ``label`` names the
-      lane, kind and row);
-    * ``"lane_sealed"`` — a fleet lane was abnormally sealed (``label``
-      holds ``"<lane>: <reason>"`` — dropped / stalled / faulted /
-      crashed);
-    * ``"duplicate_seal"`` — a seal or drop hit an already-finished
-      lane and was counted as an idempotent no-op;
-    * ``"checkpoint"`` — a durable streaming run snapshot its state to
-      disk (``label`` holds the replay position);
-    * ``"restore"`` — a durable streaming run restored a checkpoint and
-      resumed (``label`` holds the restored position);
-    * ``"stage"`` — a pipeline stage finished (``label`` holds the stage
-      name — ``simulate`` / ``extract`` / ``fit`` / ``score`` /
-      ``stream`` / ``fleet`` — and ``seconds`` its wall-clock).
+    ``kind`` is a key of :data:`EVENT_KINDS`; what ``label`` and
+    ``seconds`` carry is documented beside each entry there.
     """
 
     kind: str
@@ -84,8 +33,128 @@ class TraceEvent:
     seconds: float = 0.0
 
 
+@dataclass(frozen=True)
+class EventKind:
+    """What one event kind declares; each field may be ``None``.
+
+    ``counter`` names the :class:`RuntimeMetrics` attribute one event
+    advances by 1.  ``phrase`` is the kind's :meth:`RuntimeMetrics.
+    summary` fragment, a format string over the counters (and
+    ``trace_wall_clock``), shown once the counter is non-zero, or on
+    every summary when ``always`` is set.  ``line`` is the CLI's live
+    progress line, a format string over the event's ``label`` and
+    ``seconds``.
+    """
+
+    counter: str | None
+    phrase: str | None = None
+    line: str | None = None
+    always: bool = False
+
+
+_RUNTIME_LINE = "  [runtime] {label}"
+
+#: Every runtime event kind, in summary order.
+EVENT_KINDS: dict[str, EventKind] = {
+    # A trace finished simulating.  label: the task label; seconds: its
+    # wall-clock.
+    "simulated": EventKind(
+        "simulations", "{simulations} simulated ({trace_wall_clock:.1f}s "
+        "trace wall-clock)", "  [sim]    {label}  ({seconds:.1f}s)", always=True),
+    # An artifact was loaded from the on-disk cache.  label: the task label.
+    "cache_hit": EventKind(
+        "cache_hits", "cache {cache_hits} hit / {cache_misses} miss",
+        "  [cache]  {label}", always=True),
+    # An artifact was absent (or unreadable) on disk.  label: the task label.
+    "cache_miss": EventKind("cache_misses"),
+    # The eviction policy removed a cache entry.  label: the entry's key.
+    "evicted": EventKind("evictions", "{evictions} evicted", always=True),
+    # The process pool was unavailable (or its respawn budget ran out) and
+    # the executor fell back to serial execution.  label: the reason.
+    "fallback": EventKind("fallbacks", line=_RUNTIME_LINE),
+    # A journaled trace from an interrupted sweep was served from the
+    # cache instead of re-simulating.  label: the task label.
+    "resumed": EventKind("resumed", "{resumed} resumed", "  [resume] {label}"),
+    # A failed or timed-out task was resubmitted, charging its retry
+    # budget.  label: the task label; seconds: the backoff before it.
+    "retry": EventKind("retries", "{retries} retried", "  [retry]  {label}"),
+    # A task overran the per-task timeout and its worker was cancelled.
+    # label: the task label; seconds: the limit.
+    "timeout": EventKind("timeouts", "{timeouts} timed out",
+                         "  [timeout] {label}  (limit {seconds:.0f}s)"),
+    # An unfinished task was resubmitted after a pool respawn through no
+    # fault of its own (no retry budget charged).  label: the task label.
+    "requeue": EventKind("requeues"),
+    # A broken or deliberately killed process pool was replaced.
+    # label: ``respawn <n>/<budget>``.
+    "respawn": EventKind("respawns", "{respawns} pool respawns", _RUNTIME_LINE),
+    # A task exhausted its retry budget.  label: ``<task>: <kind>:
+    # <error>``; the failure is in the final FailureReport too.
+    "task_failed": EventKind("task_failures", "{task_failures} failed",
+                             _RUNTIME_LINE),
+    # Pool infrastructure failed permanently.  label: the reason.
+    "pool_failed": EventKind("pool_failures", line=_RUNTIME_LINE),
+    # The disk refused an artifact-cache write; the run continues.
+    # label: the error.
+    "cache_write_failed": EventKind(
+        "cache_write_failures", "{cache_write_failures} cache write failures",
+        _RUNTIME_LINE),
+    # Repeated write failures (or an unwritable directory) made the cache
+    # read-only for the rest of the run.  label: the reason.
+    "cache_off": EventKind(None, line=_RUNTIME_LINE),
+    # The online detector raised an alarm.  label: ``<lane> t=... score=...
+    # < <threshold>`` plus any verdict fragment; seconds: scoring latency.
+    "alarm": EventKind("alarms", "{alarms} alarms", "  [ALARM]  {label}"),
+    # A fleet's cross-monitor quorum fused lane alarms into a network-level
+    # verdict.  label: ``t=... <k>/<n> streams below <threshold> (quorum
+    # <q>)`` plus any verdict fragment; seconds: the batch scoring latency.
+    "fused_alarm": EventKind("fused_alarms", "{fused_alarms} fused alarms",
+                             "  [FUSED]  {label}"),
+    # Attribution classified an alarm.  label: ``<lane> t=...`` (or ``fused
+    # t=...``) and the ``type=... features=...`` fragment, which the alarm's
+    # own line already carries, so this kind prints no line.
+    "verdict": EventKind("verdicts", "{verdicts} typed verdicts"),
+    # The fleet scored one tick's window bucket in one vectorized call.
+    # label: the row count, added to ``fleet_windows``; seconds: the call.
+    "fleet_batch": EventKind(
+        "fleet_batches", "{fleet_windows} fleet windows in {fleet_batches} batches"),
+    # A quarantine-mode detector caught a late / duplicate / NaN /
+    # out-of-range row.  label: ``<lane> <kind> row <index> t=...: <detail>``.
+    "stream_fault": EventKind("stream_faults", "{stream_faults} rows quarantined",
+                              "  [FAULT]  {label}"),
+    # A fleet lane was abnormally sealed.  label: ``<lane>: <reason>``
+    # (dropped / stalled / faulted / crashed).
+    "lane_sealed": EventKind("lanes_sealed", "{lanes_sealed} lanes sealed",
+                             "  [SEAL]   {label}"),
+    # A seal or drop hit an already-finished lane: an idempotent no-op.
+    # label: the lane.
+    "duplicate_seal": EventKind("duplicate_seals", "{duplicate_seals} duplicate seals",
+                                "  [SEAL]   {label} (duplicate, no-op)"),
+    # A durable streaming run snapshot its state to disk.  label: the
+    # round count.
+    "checkpoint": EventKind("checkpoints", "{checkpoints} checkpoints",
+                            "  [CKPT]   saved {label}"),
+    # A durable streaming run restored a checkpoint and resumed.  label:
+    # the furthest restored replay position.
+    "restore": EventKind("restores", "{restores} restored",
+                         "  [CKPT]   restored {label}"),
+    # A pipeline stage finished.  label: the stage (simulate / extract /
+    # fit / score / stream / fleet), accumulated into ``stage_seconds``;
+    # seconds: its wall-clock.
+    "stage": EventKind(None),
+}
+
+#: The counter attributes the registry declares, in summary order.
+COUNTERS = tuple(kind.counter for kind in EVENT_KINDS.values() if kind.counter)
+
+
 class RuntimeMetrics:
     """Counters + timings for one runtime session.
+
+    Holds one attribute per :data:`COUNTERS` name, plus three
+    accumulated quantities: ``trace_seconds`` (``simulated`` events),
+    ``stage_seconds`` (``stage`` events) and ``fleet_windows``
+    (``fleet_batch`` rows).
 
     Parameters
     ----------
@@ -97,167 +166,24 @@ class RuntimeMetrics:
 
     def __init__(self, on_event: Callable[[TraceEvent], None] | None = None):
         self.on_event = on_event
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.simulations = 0
-        self.evictions = 0
-        self.fallbacks = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.requeues = 0
-        self.respawns = 0
-        self.resumed = 0
-        self.task_failures = 0
-        self.pool_failures = 0
-        self.cache_write_failures = 0
-        self.alarms = 0
-        self.fused_alarms = 0
-        self.verdicts = 0
-        self.fleet_batches = 0
-        self.fleet_windows = 0
-        self.stream_faults = 0
-        self.lanes_sealed = 0
-        self.duplicate_seals = 0
-        self.checkpoints = 0
-        self.restores = 0
-        #: (label, wall-clock seconds) per simulated trace, completion order.
-        self.trace_seconds: list[tuple[str, float]] = []
-        #: Accumulated wall-clock per pipeline stage (``simulate`` /
-        #: ``extract`` / ``fit`` / ``score``) — where a session's time goes.
-        self.stage_seconds: dict[str, float] = {}
+        self.reset()
 
-    # ------------------------------------------------------------------
-    def _emit(self, kind: str, label: str = "", seconds: float = 0.0) -> None:
+    def record(self, kind: str, label: str = "", seconds: float = 0.0) -> None:
+        """Account one event of a declared kind, then hand it to the hook."""
+        declared = EVENT_KINDS.get(kind)
+        if declared is None:
+            raise ValueError(f"undeclared runtime event kind {kind!r}")
+        if declared.counter is not None:
+            setattr(self, declared.counter, getattr(self, declared.counter) + 1)
+        if kind == "simulated":
+            self.trace_seconds.append((label, seconds))
+        elif kind == "stage":
+            self.stage_seconds[label] = self.stage_seconds.get(label, 0.0) + seconds
+        elif kind == "fleet_batch":
+            self.fleet_windows += int(label)
         if self.on_event is not None:
-            self.on_event(TraceEvent(kind=kind, label=label, seconds=seconds))
+            self.on_event(TraceEvent(kind, label, seconds))
 
-    def record_cache_hit(self, label: str = "") -> None:
-        """An artifact was served from the on-disk cache."""
-        self.cache_hits += 1
-        self._emit("cache_hit", label)
-
-    def record_cache_miss(self, label: str = "") -> None:
-        """An artifact had to be (re)computed."""
-        self.cache_misses += 1
-        self._emit("cache_miss", label)
-
-    def record_simulated(self, label: str, seconds: float) -> None:
-        """One trace finished simulating."""
-        self.simulations += 1
-        self.trace_seconds.append((label, seconds))
-        self._emit("simulated", label, seconds)
-
-    def record_eviction(self, label: str = "") -> None:
-        """The cache eviction policy removed an entry."""
-        self.evictions += 1
-        self._emit("evicted", label)
-
-    def record_fallback(self, reason: str) -> None:
-        """The parallel executor degraded to serial execution."""
-        self.fallbacks += 1
-        self._emit("fallback", reason)
-
-    # -- supervision ---------------------------------------------------
-    def record_retry(self, label: str, backoff: float = 0.0) -> None:
-        """A failed or timed-out task was resubmitted (budget charged)."""
-        self.retries += 1
-        self._emit("retry", label, backoff)
-
-    def record_timeout(self, label: str, limit: float = 0.0) -> None:
-        """A task overran the per-task timeout and was cancelled."""
-        self.timeouts += 1
-        self._emit("timeout", label, limit)
-
-    def record_requeue(self, label: str = "") -> None:
-        """An innocent unfinished task was resubmitted after a respawn."""
-        self.requeues += 1
-        self._emit("requeue", label)
-
-    def record_respawn(self, reason: str = "") -> None:
-        """A broken/killed process pool was replaced with a fresh one."""
-        self.respawns += 1
-        self._emit("respawn", reason)
-
-    def record_resumed(self, label: str = "") -> None:
-        """A journaled trace from an interrupted sweep was reused."""
-        self.resumed += 1
-        self._emit("resumed", label)
-
-    def record_task_failure(self, label: str, reason: str = "") -> None:
-        """A task exhausted its retry budget and failed permanently."""
-        self.task_failures += 1
-        self._emit("task_failed", f"{label}: {reason}" if reason else label)
-
-    def record_pool_failure(self, reason: str = "") -> None:
-        """Pool infrastructure failed permanently (respawn budget spent)."""
-        self.pool_failures += 1
-        self._emit("pool_failed", reason)
-
-    # -- cache resilience ----------------------------------------------
-    def record_cache_write_failure(self, reason: str = "") -> None:
-        """The disk refused an artifact-cache write (run continues)."""
-        self.cache_write_failures += 1
-        self._emit("cache_write_failed", reason)
-
-    def record_cache_disabled(self, reason: str = "") -> None:
-        """Repeated write failures switched the cache to read-only."""
-        self._emit("cache_off", reason)
-
-    # -- streaming -------------------------------------------------------
-    def record_alarm(self, label: str = "", latency_s: float = 0.0) -> None:
-        """The online detector raised an alarm during a streaming run."""
-        self.alarms += 1
-        self._emit("alarm", label, latency_s)
-
-    def record_fused_alarm(self, label: str = "", latency_s: float = 0.0) -> None:
-        """A fleet run's quorum fused stream alarms into a verdict."""
-        self.fused_alarms += 1
-        self._emit("fused_alarm", label, latency_s)
-
-    def record_verdict(self, label: str = "") -> None:
-        """Attribution attached a typed verdict to an alarm."""
-        self.verdicts += 1
-        self._emit("verdict", label)
-
-    def record_fleet_batch(self, size: int, seconds: float = 0.0) -> None:
-        """One vectorized fleet scoring call covered ``size`` windows."""
-        self.fleet_batches += 1
-        self.fleet_windows += int(size)
-        self._emit("fleet_batch", str(int(size)), seconds)
-
-    # -- durability ------------------------------------------------------
-    def record_stream_fault(self, label: str = "") -> None:
-        """A quarantine-mode detector caught and recorded a degraded row."""
-        self.stream_faults += 1
-        self._emit("stream_fault", label)
-
-    def record_lane_sealed(self, label: str = "") -> None:
-        """A fleet lane was abnormally sealed (dropped/stalled/faulted/crashed)."""
-        self.lanes_sealed += 1
-        self._emit("lane_sealed", label)
-
-    def record_duplicate_seal(self, label: str = "") -> None:
-        """A seal/drop hit an already-finished lane: counted, not raised."""
-        self.duplicate_seals += 1
-        self._emit("duplicate_seal", label)
-
-    def record_checkpoint(self, label: str = "") -> None:
-        """A durable streaming run snapshot its state to disk."""
-        self.checkpoints += 1
-        self._emit("checkpoint", label)
-
-    def record_restore(self, label: str = "") -> None:
-        """A durable streaming run restored a checkpoint and resumed."""
-        self.restores += 1
-        self._emit("restore", label)
-
-    # -- stage timing ----------------------------------------------------
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate wall-clock into a named pipeline stage."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self._emit("stage", stage, seconds)
-
-    # ------------------------------------------------------------------
     @property
     def total_trace_seconds(self) -> float:
         """Summed wall-clock of every simulated trace (not elapsed time —
@@ -266,79 +192,29 @@ class RuntimeMetrics:
 
     def reset(self) -> None:
         """Zero every counter (the callback hook is kept)."""
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.simulations = 0
-        self.evictions = 0
-        self.fallbacks = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.requeues = 0
-        self.respawns = 0
-        self.resumed = 0
-        self.task_failures = 0
-        self.pool_failures = 0
-        self.cache_write_failures = 0
-        self.alarms = 0
-        self.fused_alarms = 0
-        self.verdicts = 0
-        self.fleet_batches = 0
+        for counter in COUNTERS:
+            setattr(self, counter, 0)
         self.fleet_windows = 0
-        self.stream_faults = 0
-        self.lanes_sealed = 0
-        self.duplicate_seals = 0
-        self.checkpoints = 0
-        self.restores = 0
-        self.trace_seconds = []
-        self.stage_seconds = {}
+        #: (label, wall-clock seconds) per simulated trace, completion order.
+        self.trace_seconds: list[tuple[str, float]] = []
+        #: Accumulated wall-clock per pipeline stage — where a session's
+        #: time goes.
+        self.stage_seconds: dict[str, float] = {}
 
     def summary(self) -> str:
         """One-line human-readable state, used by the CLI."""
-        base = (
-            f"{self.simulations} simulated ({self.total_trace_seconds:.1f}s "
-            f"trace wall-clock), cache {self.cache_hits} hit / "
-            f"{self.cache_misses} miss, {self.evictions} evicted"
-        )
-        extras = []
-        if self.resumed:
-            extras.append(f"{self.resumed} resumed")
-        if self.retries:
-            extras.append(f"{self.retries} retried")
-        if self.timeouts:
-            extras.append(f"{self.timeouts} timed out")
-        if self.respawns:
-            extras.append(f"{self.respawns} pool respawns")
-        if self.task_failures:
-            extras.append(f"{self.task_failures} failed")
-        if self.cache_write_failures:
-            extras.append(f"{self.cache_write_failures} cache write failures")
-        if self.alarms:
-            extras.append(f"{self.alarms} alarms")
-        if self.fused_alarms:
-            extras.append(f"{self.fused_alarms} fused alarms")
-        if self.verdicts:
-            extras.append(f"{self.verdicts} typed verdicts")
-        if self.fleet_batches:
-            extras.append(
-                f"{self.fleet_windows} fleet windows in "
-                f"{self.fleet_batches} batches"
-            )
-        if self.stream_faults:
-            extras.append(f"{self.stream_faults} rows quarantined")
-        if self.lanes_sealed:
-            extras.append(f"{self.lanes_sealed} lanes sealed")
-        if self.duplicate_seals:
-            extras.append(f"{self.duplicate_seals} duplicate seals")
-        if self.checkpoints:
-            extras.append(f"{self.checkpoints} checkpoints")
-        if self.restores:
-            extras.append(f"{self.restores} restored")
+        values = {**vars(self), "trace_wall_clock": self.total_trace_seconds}
+        parts = [
+            kind.phrase.format_map(values)
+            for kind in EVENT_KINDS.values()
+            if kind.phrase is not None and (kind.always or values[kind.counter])
+        ]
         if self.stage_seconds:
             stages = " ".join(
                 f"{k}={v:.1f}s" for k, v in sorted(self.stage_seconds.items())
             )
-            extras.append(f"stages: {stages}")
-        return base + (", " + ", ".join(extras) if extras else "")
+            parts.append(f"stages: {stages}")
+        return ", ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RuntimeMetrics({self.summary()})"

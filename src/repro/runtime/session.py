@@ -8,8 +8,9 @@ through them:
 * an :class:`~repro.runtime.cache.ArtifactCache` that persists simulated
   traces on disk, content-addressed by scenario + attack composition +
   simulator code version (``cache_dir=``, ``cache=False`` to disable);
-* a :class:`~repro.runtime.metrics.RuntimeMetrics` with per-trace timing,
-  cache hit/miss counters and a live progress hook (``metrics=``).
+* a :class:`~repro.runtime.metrics.RuntimeMetrics` that records every
+  runtime event (per-trace and per-stage timing, cache, supervision and
+  streaming counters) and feeds a live progress hook (``metrics=``).
 
 Usage::
 
@@ -33,7 +34,7 @@ import os
 import sys
 import time
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -180,23 +181,14 @@ class Session:
         memoise in memory within the session).
     max_entries, max_bytes:
         Cache eviction bounds, forwarded to :class:`ArtifactCache`.
-    policy:
-        A :class:`~repro.runtime.executor.SupervisionPolicy` controlling
-        per-task retries, timeout and pool respawns (defaults: 2 retries,
-        no timeout, 2 respawns).
     task_timeout, max_retries:
-        Convenience overrides applied on top of ``policy`` — the knobs
-        the CLI exposes.
+        The executor's :class:`~repro.runtime.executor.SupervisionPolicy`
+        (on :attr:`policy`): the per-task wall-clock budget under a pool
+        (``None``, the default, waits indefinitely) and the retry budget
+        per trace (default 2); pool respawns keep the policy default.
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` injected into
         both the executor and the cache (deterministic chaos testing).
-    profile_stages:
-        ``True`` wraps every timed pipeline stage (``simulate`` /
-        ``extract`` / ``fit`` / ``score`` / ``stream`` / ``fleet``) in a
-        cProfile and collects one top-N cumulative table per stage on
-        :attr:`profiler` (a :class:`~repro.runtime.profiling.
-        StageProfiler`; ``session.profiler.render()`` prints them).
-        ``None`` (default) reads ``$REPRO_PROFILE_STAGES``.
     """
 
     def __init__(
@@ -207,27 +199,15 @@ class Session:
         cache: bool = True,
         max_entries: int = 512,
         max_bytes: int = 4 << 30,
-        policy: SupervisionPolicy | None = None,
         task_timeout: float | None = None,
-        max_retries: int | None = None,
+        max_retries: int = 2,
         faults: FaultPlan | None = None,
-        profile_stages: bool | None = None,
     ):
         if jobs is not None and not jobs >= 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
         self.jobs = _env_jobs() if jobs is None else int(jobs)
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        policy = policy if policy is not None else SupervisionPolicy()
-        overrides = {}
-        if task_timeout is not None:
-            overrides["task_timeout"] = task_timeout
-        if max_retries is not None:
-            overrides["max_retries"] = max_retries
-        if overrides:
-            import dataclasses
-
-            policy = dataclasses.replace(policy, **overrides)
-        self.policy = policy
+        self.policy = SupervisionPolicy(max_retries=max_retries, task_timeout=task_timeout)
         self.faults = faults
         self.cache: ArtifactCache | None = (
             ArtifactCache(
@@ -251,16 +231,6 @@ class Session:
         else:
             self.journal = None
             self._journaled = frozenset()
-        if profile_stages is None:
-            profile_stages = os.environ.get(
-                "REPRO_PROFILE_STAGES", "0"
-            ) not in ("0", "false", "")
-        if profile_stages:
-            from repro.runtime.profiling import StageProfiler
-
-            self.profiler: "StageProfiler | None" = StageProfiler()
-        else:
-            self.profiler = None
         self._raw: dict[ExperimentPlan, RawTraces] = {}
         self._bundles: dict[ExperimentPlan, TraceBundle] = {}
         self._results: dict[tuple, DetectionResult] = {}
@@ -268,22 +238,16 @@ class Session:
 
     @contextmanager
     def _stage(self, name: str):
-        """Time one pipeline stage (and profile it when enabled).
+        """Time one pipeline stage.
 
         Yields a namespace whose ``elapsed`` holds the stage seconds once
-        the block exits; the duration is recorded via
-        :meth:`RuntimeMetrics.record_stage` and, with ``profile_stages``
-        on, the block's execution accumulates into ``profiler``'s table
-        for ``name``.
+        the block exits; the duration is recorded as a ``stage`` event.
         """
-        ctx = self.profiler.stage(name) if self.profiler is not None \
-            else nullcontext()
         timer = SimpleNamespace(elapsed=0.0)
         t0 = time.perf_counter()
-        with ctx:
-            yield timer
+        yield timer
         timer.elapsed = time.perf_counter() - t0
-        self.metrics.record_stage(name, timer.elapsed)
+        self.metrics.record("stage", name, timer.elapsed)
 
     # ------------------------------------------------------------------
     # Trace level
@@ -315,11 +279,11 @@ class Session:
                 hit = self.cache.get(key)
                 if hit is not None:
                     if key in self._journaled:
-                        self.metrics.record_resumed(task.label)
-                    self.metrics.record_cache_hit(task.label)
+                        self.metrics.record("resumed", task.label)
+                    self.metrics.record("cache_hit", task.label)
                     results[i] = hit
                     continue
-                self.metrics.record_cache_miss(task.label)
+                self.metrics.record("cache_miss", task.label)
                 pending.append((i, key, task))
             else:
                 pending.append((i, None, task))
@@ -591,8 +555,8 @@ class Session:
 
         Per-stream alarms surface as ``"alarm"`` metrics events, fused
         network-level verdicts as ``"fused_alarm"`` events (the CLI
-        prints them live), and every scoring batch is accounted via
-        :meth:`RuntimeMetrics.record_fleet_batch`.
+        prints them live), and every scoring batch as a
+        ``"fleet_batch"`` event.
 
         Parameters
         ----------
@@ -611,9 +575,8 @@ class Session:
             verdict (majority vote over the alarming lanes) per
             :class:`~repro.stream.FleetAlarm`; the ``"alarm"`` /
             ``"fused_alarm"`` metrics events gain ``type=...``
-            fragments and verdicts are counted via
-            :meth:`RuntimeMetrics.record_verdict`.  Scores, alarm sets
-            and fused timing are unchanged.
+            fragments and verdicts are counted as ``"verdict"`` events.
+            Scores, alarm sets and fused timing are unchanged.
         row_policy, stall_timeout:
             Degraded-input handling (see :mod:`repro.stream.config`);
             ``None`` takes the shared defaults.  Every lane's
@@ -678,17 +641,25 @@ class Session:
         since a seal would end the run.  ``training`` is
         :meth:`fitted_detector`'s knobs after the plan, in order;
         ``knobs`` — quorum, row policy, attribution and stall timeout —
-        go to :meth:`FleetDetector.from_detector` unchanged.
+        go to :meth:`FleetDetector.from_detector` unchanged.  Every
+        streaming knob is checked before the fit, by the function its
+        constructor calls.
         """
         import numpy as np
 
         from repro.simulation.scenario import run_scenario
-        from repro.stream.config import DEFAULT_MAX_FAULTS
+        from repro.stream import config as stream_config
         from repro.stream.durability import run_durable_fleet
         from repro.stream.faults import StreamFaultPlan
         from repro.stream.fleet import FleetDetector
 
         seeds, monitors = _stream_lanes(plan, seeds, monitors, attack)
+        stream_config.validate_threshold(threshold)
+        warmup = stream_config.validate_warmup(plan.warmup if warmup is None else warmup)
+        stream_config.validate_row_policy(knobs["row_policy"])
+        stream_config.validate_quorum(knobs.get("quorum", stream_config.DEFAULT_QUORUM))
+        stream_config.validate_stall_timeout(knobs.get("stall_timeout"))
+        stream_config.validate_checkpoint_every(checkpoint_every)
 
         def relay_alarm(alarm: "Alarm") -> None:
             label = (
@@ -697,10 +668,10 @@ class Session:
             )
             if alarm.verdict is not None:
                 label += f" {alarm.verdict.summary()}"
-                self.metrics.record_verdict(
-                    f"{alarm.stream} t={alarm.time:g}s {alarm.verdict.summary()}"
+                self.metrics.record(
+                    "verdict", f"{alarm.stream} t={alarm.time:g}s {alarm.verdict.summary()}"
                 )
-            self.metrics.record_alarm(label, alarm.latency_s)
+            self.metrics.record("alarm", label, alarm.latency_s)
             if on_alarm is not None:
                 on_alarm(alarm)
 
@@ -712,27 +683,30 @@ class Session:
             )
             if fused.verdict is not None:
                 label += f" {fused.verdict.summary()}"
-                self.metrics.record_verdict(
-                    f"fused t={fused.time:g}s {fused.verdict.summary()}"
+                self.metrics.record(
+                    "verdict", f"fused t={fused.time:g}s {fused.verdict.summary()}"
                 )
-            self.metrics.record_fused_alarm(label, fused.latency_s)
+            self.metrics.record("fused_alarm", label, fused.latency_s)
             if on_fused is not None:
                 on_fused(fused)
 
         def relay_fault(fault: "StreamFault") -> None:
-            self.metrics.record_stream_fault(
+            self.metrics.record(
+                "stream_fault",
                 f"{fault.stream} {fault.kind} row {fault.index} "
-                f"t={fault.time:g}: {fault.detail}"
+                f"t={fault.time:g}: {fault.detail}",
             )
+
+        def relay_batch(size: int, seconds: float) -> None:
+            self.metrics.record("fleet_batch", str(size), seconds)
 
         def relay_seal(name: str, reason: str) -> None:
             if reason == "duplicate":
-                self.metrics.record_duplicate_seal(name)
+                self.metrics.record("duplicate_seal", name)
             else:
-                self.metrics.record_lane_sealed(f"{name}: {reason}")
+                self.metrics.record("lane_sealed", f"{name}: {reason}")
 
         scenario_names = tuple(f"s{k}" for k in range(len(seeds)))
-        warmup = plan.warmup if warmup is None else float(warmup)
         if isinstance(stream_faults, str):
             stream_faults = StreamFaultPlan.parse(stream_faults)
         durable = (
@@ -746,8 +720,9 @@ class Session:
             self.fitted_detector(plan, *training), threshold,
             on_alarm=relay_alarm,
             on_fused=relay_fused if fleet_lanes else None,
-            on_batch=self.metrics.record_fleet_batch if fleet_lanes else None,
-            max_consecutive_faults=DEFAULT_MAX_FAULTS if fleet_lanes else sys.maxsize,
+            on_batch=relay_batch if fleet_lanes else None,
+            max_consecutive_faults=(
+                stream_config.DEFAULT_MAX_FAULTS if fleet_lanes else sys.maxsize),
             faults=stream_faults, on_fault=relay_fault, on_seal=relay_seal,
             **knobs,
         )
@@ -779,8 +754,8 @@ class Session:
                     checkpoint_every=checkpoint_every,
                     resume_from=resume_from,
                     faults=stream_faults,
-                    on_checkpoint=lambda r: self.metrics.record_checkpoint(str(r)),
-                    on_restore=lambda r: self.metrics.record_restore(str(r)),
+                    on_checkpoint=lambda r: self.metrics.record("checkpoint", str(r)),
+                    on_restore=lambda r: self.metrics.record("restore", str(r)),
                 )
             truths = {name: scenario_truth(trace) for name, trace in traces.items()}
         else:

@@ -28,6 +28,9 @@ from repro.simulation.stats import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from repro.attacks.base import Attack
 
+#: The ground-truth policies :meth:`SimulationTrace.window_labels` accepts.
+LABEL_POLICIES = ("session", "post_attack")
+
 
 @dataclass
 class ScenarioConfig:
@@ -151,7 +154,7 @@ class SimulationTrace:
         if policy == "post_attack" and self.attack_intervals:
             first = self.attack_intervals[0][0]
             return [t > first for t in self.tick_times]
-        if policy not in ("session", "post_attack"):
+        if policy not in LABEL_POLICIES:
             raise ValueError(f"unknown label policy: {policy!r}")
         labels = []
         for t in self.tick_times:

@@ -117,6 +117,41 @@ def validate_row_policy(row_policy: str | None) -> str:
     return row_policy
 
 
+def validate_threshold(threshold: float | None) -> float | None:
+    """Reject a NaN decision threshold (``None`` adopts the calibrated one)."""
+    # Negated comparisons, so NaN fails them too (here and below).
+    if threshold is not None and not -math.inf <= threshold <= math.inf:
+        raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+    return threshold
+
+
+def validate_warmup(warmup: float) -> float:
+    """Check a ``warmup``: non-negative and finite."""
+    if not 0 <= warmup < math.inf:
+        raise ValueError(f"warmup must be non-negative and finite, got {warmup!r}")
+    return float(warmup)
+
+
+def validate_stall_timeout(stall_timeout: float | None) -> float | None:
+    """Check a ``stall_timeout``: ``None`` or positive and finite."""
+    if stall_timeout is not None and not 0 < stall_timeout < math.inf:
+        raise ValueError(
+            f"stall_timeout must be None or positive and finite, got {stall_timeout!r}"
+        )
+    return stall_timeout
+
+
+def validate_checkpoint_every(checkpoint_every: int | None) -> int:
+    """The durable-run snapshot cadence in rounds, an int >= 1 (``None``
+    is :data:`DEFAULT_CHECKPOINT_EVERY`)."""
+    if checkpoint_every is None:
+        return DEFAULT_CHECKPOINT_EVERY
+    if isinstance(checkpoint_every, bool) or not isinstance(checkpoint_every, int) \
+            or checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be an int >= 1, got {checkpoint_every!r}")
+    return checkpoint_every
+
+
 def resolve_threshold(detector, threshold: float | None) -> float:
     """The effective decision threshold for a construction call.
 

@@ -22,15 +22,19 @@ its snapshot is that fleet's::
     fleet.add_stream(monitor, periods=..., sampling_period=..., warmup=...)
     run_durable_fleet({"s0": trace}, fleet, checkpoint=..., resume_from=...)
 
-Checkpoint file format (version 2)::
+Checkpoint file format (version 3)::
 
     REPROCKPT1\\n                                   magic
-    {"version": 2, "kind": "fleet", "fingerprint": "..."}\\n   header (JSON)
+    {"version": 3, "kind": "fleet", "fingerprint": "..."}\\n   header (JSON)
     <pickle bytes>                                 body
 
 Version 2 came with the one streaming engine, when a single-stream
-snapshot became its one-lane fleet's: version-1 files fail to load with
-a :class:`CheckpointError` naming the format version.
+snapshot became its one-lane fleet's.  Version 3 records each lane
+extractor's construction knobs (monitor, periods, sampling period,
+warmup), so a restore under other knobs fails with a
+:class:`ValueError` naming the first that differs instead of resuming
+into different windows.  Files of any other version fail to load with a
+:class:`CheckpointError` naming the format version.
 
 The header's ``fingerprint`` is the SHA-256 of the body bytes; any
 corruption or truncation fails the restore **loudly** with a
@@ -73,7 +77,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.runtime.cache import atomic_write_bytes
-from repro.stream.config import DEFAULT_CHECKPOINT_EVERY
+from repro.stream.config import validate_checkpoint_every
 from repro.stream.faults import StreamFaultPlan, apply_checkpoint_fault
 from repro.stream.replay import ReplayCursor
 
@@ -85,7 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = b"REPROCKPT1\n"
 
 #: Current checkpoint format version (see the module docstring).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -235,9 +239,7 @@ def run_durable_fleet(
     flushing or checkpointing, as a process kill would.  Returns
     ``(per-lane positions, finished)``.
     """
-    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
-    if every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+    every = validate_checkpoint_every(checkpoint_every)
     positions: dict[str, int] = {}
     if resume_from is not None:
         spec = faults.checkpoint_fault(0) if faults is not None else None

@@ -34,9 +34,11 @@ from repro.features.traffic import (
     TrafficFeatureSpec,
     _CONTROL_TYPES,
     traffic_feature_grid,
+    validate_periods,
 )
 from repro.simulation.packet import Direction, PacketType
 from repro.simulation.stats import NodeStats, RouteEventKind
+from repro.stream.config import validate_warmup
 from repro.stream.ring import EventRing, RouteLengthRing
 
 _DIRECTION_BY_VALUE = {int(d): d.name.lower() for d in Direction}
@@ -107,22 +109,15 @@ class StreamingExtractor:
     ):
         if monitor < 0:
             raise ValueError(f"monitor must be >= 0, got {monitor}")
-        periods = tuple(periods)
-        if not periods:
-            raise ValueError("need at least one sampling period")
-        # Negated comparisons, so NaN fails them too.
-        if not all(0 < p < math.inf for p in periods):
-            raise ValueError(f"periods must be positive and finite, got {periods!r}")
+        # Negated comparison, so NaN fails it too.
         if not 0 < sampling_period < math.inf:
             raise ValueError(
                 f"sampling_period must be positive and finite, got {sampling_period!r}"
             )
-        if not 0 <= warmup < math.inf:
-            raise ValueError(f"warmup must be non-negative and finite, got {warmup!r}")
         self.monitor = monitor
-        self.periods = tuple(float(p) for p in periods)
+        self.periods = validate_periods(periods)
         self.sampling_period = float(sampling_period)
-        self.warmup = float(warmup)
+        self.warmup = validate_warmup(warmup)
         self.on_row = on_row
         self.keep_rows = keep_rows
         self.rows: list[WindowRow] = []
@@ -315,14 +310,20 @@ class StreamingExtractor:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Full mutable extraction state (rings, pending tick, counters).
-
-        The construction knobs (monitor, periods, warmup, ...) are *not*
-        captured: restore targets an extractor built with the same knobs,
-        which :meth:`restore` verifies structurally.
-        """
+    def _knobs(self) -> dict:
+        """The construction knobs a snapshot is only valid under."""
         return {
+            "monitor": self.monitor,
+            "periods": self.periods,
+            "sampling_period": self.sampling_period,
+            "warmup": self.warmup,
+        }
+
+    def snapshot(self) -> dict:
+        """Full mutable extraction state (rings, pending tick, counters),
+        with the construction knobs it was taken under."""
+        return {
+            "knobs": self._knobs(),
             "traffic": {k: r.snapshot() for k, r in self._traffic.items()},
             "route": {k: r.snapshot() for k, r in self._route.items()},
             "route_length": self._route_length.snapshot(),
@@ -334,13 +335,19 @@ class StreamingExtractor:
         }
 
     def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot` taken from a same-shaped extractor."""
-        if set(state["traffic"]) != set(self._traffic) or \
-                set(state["route"]) != set(self._route):
-            raise ValueError(
-                "snapshot does not match this extractor's ring layout "
-                "(different periods or feature grid)"
-            )
+        """Adopt a :meth:`snapshot` taken under the same construction knobs.
+
+        A snapshot taken under another monitor, periods, sampling period
+        or warmup would resume into different windows, so the first knob
+        that differs raises :class:`ValueError` naming both values.
+        """
+        for name, ours in self._knobs().items():
+            theirs = state["knobs"][name]
+            if theirs != ours:
+                raise ValueError(
+                    f"snapshot was taken with {name}={theirs!r}; this "
+                    f"extractor has {name}={ours!r}"
+                )
         for key, ring_state in state["traffic"].items():
             self._traffic[key].restore(ring_state)
         for key, ring_state in state["route"].items():

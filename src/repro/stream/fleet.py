@@ -60,7 +60,6 @@ or, end to end through the runtime layer::
 from __future__ import annotations
 
 import heapq
-import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -86,6 +85,8 @@ from repro.stream.config import (
     resolve_threshold,
     validate_quorum,
     validate_row_policy,
+    validate_stall_timeout,
+    validate_threshold,
 )
 from repro.stream.detector import Alarm, StreamResult
 from repro.stream.extractor import StreamingExtractor, WindowRow
@@ -314,8 +315,8 @@ class FleetDetector:
         :mod:`repro.stream.config` for semantics and defaults.
     on_batch:
         Callback ``(batch_size, seconds)`` per vectorized scoring call
-        (the Session wires :meth:`RuntimeMetrics.record_fleet_batch`
-        here for per-tick batch-size accounting).
+        (the Session records each as a ``fleet_batch`` runtime event
+        for per-tick batch-size accounting).
     row_policy, max_consecutive_faults, stall_timeout:
         Degraded-input handling — see :mod:`repro.stream.config`.
     faults:
@@ -356,18 +357,12 @@ class FleetDetector:
     ):
         if model.discretizer is None:
             raise ValueError("model must be fitted before fleet detection")
-        # Negated comparisons, so NaN fails them too.
-        if not -math.inf <= threshold <= math.inf:
-            raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+        validate_threshold(threshold)
         if method not in SCORING_METHODS:
             raise ValueError(f"method must be one of {SCORING_METHODS}, got {method!r}")
         if not (isinstance(max_consecutive_faults, int) and max_consecutive_faults >= 0):
             raise ValueError(
                 f"max_consecutive_faults must be an int >= 0, got {max_consecutive_faults!r}"
-            )
-        if stall_timeout is not None and not 0 < stall_timeout < math.inf:
-            raise ValueError(
-                f"stall_timeout must be None or positive and finite, got {stall_timeout!r}"
             )
         self.model = model
         self.threshold = float(threshold)
@@ -378,7 +373,7 @@ class FleetDetector:
         self.on_batch = on_batch
         self.row_policy = validate_row_policy(row_policy)
         self.max_consecutive_faults = max_consecutive_faults
-        self.stall_timeout = stall_timeout
+        self.stall_timeout = validate_stall_timeout(stall_timeout)
         self.on_fault = on_fault
         self.on_seal = on_seal
         self.attribution = bool(attribution)
@@ -909,14 +904,19 @@ class FleetDetector:
         """Adopt a :meth:`snapshot` taken from a same-shaped fleet.
 
         The same lanes must already be registered (same names, via
-        ``add_stream``/``attach`` with the original knobs).  Restored
-        alarms and faults do not re-fire hooks.
+        ``add_stream``/``attach`` with the original knobs); a lane
+        extractor built with other knobs raises :class:`ValueError`
+        naming the first that differs.  Restored alarms and faults do
+        not re-fire hooks.
         """
         if set(state["lanes"]) != set(self._lanes):
             raise ValueError(
                 "snapshot does not match this fleet's registered lanes"
             )
         for name, lane_state in state["lanes"].items():
+            stream = self._streams.get(name)
+            if stream is not None and lane_state["extractor"] is not None:
+                stream._extractor.restore(lane_state["extractor"])
             lane = self._lanes[name]
             lane.frontier = lane_state["frontier"]
             lane.done = lane_state["done"]
@@ -930,9 +930,6 @@ class FleetDetector:
             lane.latencies = list(lane_state["latencies"])
             lane.alarms = list(lane_state["alarms"])
             lane.faults = list(lane_state["faults"])
-            stream = self._streams.get(name)
-            if stream is not None and lane_state["extractor"] is not None:
-                stream._extractor.restore(lane_state["extractor"])
             injector = self._injectors.get(name)
             if injector is not None and lane_state["injector"] is not None:
                 injector.restore(lane_state["injector"])

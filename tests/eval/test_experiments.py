@@ -54,10 +54,27 @@ class TestPlan:
     @pytest.mark.parametrize("field, value", [
         *[("duration", bad) for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0)],
         *[("warmup", bad) for bad in (math.nan, math.inf, -math.inf, -1.0)],
+        *[("periods", bad) for bad in (
+            (), (-5.0, 30.0), (5.0, 0.0), (math.nan, 30.0), (5.0, math.inf))],
+        *[("monitor", bad) for bad in (-1, 20)],
+        ("label_policy", "bogus"),
+        ("drop_mode", "bogus"),
+        *[("blackhole_start_frac", bad) for bad in (math.nan, -0.1, 1.0)],
+        *[("dropping_start_frac", bad) for bad in (math.nan, 1.5)],
+        *[("session_frac", bad) for bad in (math.nan, -0.1, 0.0, 1.5)],
     ])
     def test_bad_numeric_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentPlan(**{field: value})
+
+    def test_edge_values_are_accepted(self):
+        from repro.attacks import DropMode
+
+        plan = ExperimentPlan(monitor=18, blackhole_start_frac=0.0,
+                              dropping_start_frac=0.0, session_frac=1.0,
+                              drop_mode=DropMode.RANDOM, label_policy="session",
+                              periods=(5.0,))
+        assert plan.build_attacks()
 
     def test_plans_hashable_for_caching(self):
         assert hash(SMALL_PLAN) == hash(replace(SMALL_PLAN))

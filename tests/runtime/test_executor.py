@@ -178,7 +178,7 @@ class TestSupervision:
     def test_pool_break_preserves_completed_results(self, monkeypatch, no_backoff):
         """The double-simulation regression: results computed before the
         pool broke must be reused, never re-simulated (and never counted
-        twice in ``record_simulated``)."""
+        twice as a ``simulated`` event)."""
         OneGoodThenBrokenPool.spawned = 0
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", OneGoodThenBrokenPool)
         metrics = RuntimeMetrics()

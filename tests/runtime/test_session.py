@@ -84,14 +84,28 @@ class TestCacheRoundTrip:
         assert list(tmp_path.glob("*.pkl")) == []
 
 
+class TestStageTiming:
+    def test_stage_records_its_elapsed_seconds(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        with session._stage("fit") as timer:
+            sum(range(50_000))
+        assert timer.elapsed > 0
+        assert session.metrics.stage_seconds["fit"] == timer.elapsed
+
+    def test_bundle_times_simulate_and_extract(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        session.bundle(TINY_PLAN)
+        assert {"simulate", "extract"} <= set(session.metrics.stage_seconds)
+
+
 class TestOneFitPerDetector:
     """``detect`` scores the detector ``fitted_detector`` fits: one fit
-    per knob set, timed and profiled as the ``fit`` stage."""
+    per knob set, timed as the ``fit`` stage."""
 
-    def test_profiled_detect_has_fit_and_score_tables(self, tmp_path):
-        session = Session(cache_dir=tmp_path, profile_stages=True)
+    def test_detect_times_fit_and_score_stages(self, tmp_path):
+        session = Session(cache_dir=tmp_path)
         session.detect(TINY_PLAN, classifier="nbc")
-        assert {"fit", "score"} <= set(session.profiler.stages)
+        assert {"fit", "score"} <= set(session.metrics.stage_seconds)
 
     def test_fitted_detector_after_detect_does_not_refit(self, tmp_path):
         session = Session(cache_dir=tmp_path)
@@ -332,8 +346,8 @@ class TestJournal:
 
 
 class TestStreamLaneValidation:
-    """Bad lane lists fail with the culprit named, before any training
-    or simulation."""
+    """Bad lane lists and stream knobs fail with the culprit named,
+    before any training or simulation."""
 
     PLAN = ExperimentPlan(
         n_nodes=6, duration=120.0, max_connections=5,
@@ -366,3 +380,20 @@ class TestStreamLaneValidation:
     def test_stream_detect_rejects_the_attacker(self):
         self.rejects("monitor 5 must differ from the attacker",
                      detect="stream_detect", monitor=5)
+
+    @pytest.mark.parametrize("detect, knob, value", [
+        ("stream_detect", "threshold", NAN),
+        ("stream_detect", "warmup", -1.0),
+        ("stream_detect", "warmup", NAN),
+        ("stream_detect", "row_policy", "bogus"),
+        ("stream_detect", "checkpoint_every", 0),
+        ("stream_detect", "checkpoint_every", NAN),
+        ("fleet_detect", "threshold", NAN),
+        ("fleet_detect", "quorum", 0),
+        ("fleet_detect", "quorum", 1.5),
+        ("fleet_detect", "stall_timeout", NAN),
+        ("fleet_detect", "stall_timeout", 0.0),
+        ("fleet_detect", "checkpoint_every", 2.5),
+    ])
+    def test_bad_stream_knob_fails_before_the_fit(self, detect, knob, value):
+        self.rejects(knob, detect=detect, **{knob: value})

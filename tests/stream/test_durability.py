@@ -131,6 +131,19 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="format version 1"):
             load_fleet_checkpoint(path, one_lane(trace, 0.5))
 
+    def test_version_2_checkpoint_fails_loudly(self, trace, tmp_path):
+        """Version 3 records each lane extractor's construction knobs; a
+        version-2 snapshot has none to check, so it must not restore."""
+        path = tmp_path / "v2.ckpt"
+        payload = pickle.dumps({"positions": {"s0/n0": 0}, "fleet": {"lanes": {}}})
+        header = json.dumps({
+            "version": 2, "kind": "fleet",
+            "fingerprint": hashlib.sha256(payload).hexdigest(),
+        })
+        path.write_bytes(MAGIC + header.encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="format version 2"):
+            load_fleet_checkpoint(path, one_lane(trace, 0.5))
+
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "c.ckpt"
         write_checkpoint(path, "stream", {"position": 0})
@@ -260,6 +273,44 @@ class TestStreamResume:
     def test_checkpoint_every_must_be_positive(self, trace, threshold):
         with pytest.raises(ValueError, match="checkpoint_every"):
             stream_run(trace, threshold, checkpoint_every=0)
+
+
+#: (knob, the checkpointed lane's add_stream keywords, the restoring
+#: lane's): a snapshot restores only under the knobs it was taken with.
+KNOB_MISMATCHES = [
+    ("periods", {"periods": (5.0, 30.0)}, {"periods": (5.0, 60.0)}),
+    ("periods", {"periods": (5.0, 30.0)}, {"periods": (5.0, 30.0, 900.0)}),
+    ("warmup", {"warmup": 0.0}, {"warmup": 20.0}),
+    ("sampling_period", {"sampling_period": 5.0}, {"sampling_period": 10.0}),
+    ("monitor", {"monitor": 0}, {"monitor": 1}),
+]
+
+
+class TestRestoreKnobs:
+    def lane(self, trace, threshold, **knobs):
+        fleet = FleetDetector(MODEL, threshold, max_consecutive_faults=sys.maxsize)
+        knobs.setdefault("sampling_period", trace.config.sampling_period)
+        fleet.add_stream(name="lane", **knobs)
+        return fleet
+
+    @pytest.mark.parametrize("knob, taken, restored", KNOB_MISMATCHES)
+    def test_restore_under_other_knobs_names_the_knob(
+        self, trace, threshold, tmp_path, knob, taken, restored
+    ):
+        ckpt = tmp_path / "k.ckpt"
+        run_durable_fleet({"s0": trace}, self.lane(trace, threshold, **taken),
+                          checkpoint=ckpt, checkpoint_every=4, stop_after_rounds=12)
+        fresh = self.lane(trace, threshold, **restored)
+        with pytest.raises(ValueError, match=rf"{knob}=.*{knob}="):
+            load_fleet_checkpoint(ckpt, fresh)
+        assert fresh._lanes["lane"].times == []  # nothing half-restored
+
+    def test_restore_under_the_same_knobs_resumes(self, trace, threshold, tmp_path):
+        ckpt = tmp_path / "k.ckpt"
+        knobs = {"periods": (5.0, 30.0), "warmup": 20.0}
+        run_durable_fleet({"s0": trace}, self.lane(trace, threshold, **knobs),
+                          checkpoint=ckpt, checkpoint_every=4, stop_after_rounds=12)
+        assert load_fleet_checkpoint(ckpt, self.lane(trace, threshold, **knobs))
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +480,17 @@ class TestSessionDurable:
         assert np.array_equal(resumed.scores, live.scores)
         assert [a.time for a in resumed.alarms] == [a.time for a in live.alarms]
         assert fresh.metrics.restores == 1
+
+    def test_resume_under_other_periods_fails(self, plan, session, tmp_path):
+        """A checkpoint of a ``periods=(5, 30)`` run must not resume a
+        ``(5, 60)`` plan, whose windows it never computed."""
+        from dataclasses import replace
+
+        ckpt = tmp_path / "s.ckpt"
+        session.stream_detect(plan, checkpoint=ckpt, checkpoint_every=5)
+        with pytest.raises(ValueError, match=r"periods=\(5\.0, 30\.0\)"):
+            session.stream_detect(replace(plan, periods=(5.0, 60.0)),
+                                  resume_from=ckpt)
 
     def test_fleet_detect_survives_injected_chaos(self, plan, session):
         from repro.runtime import RuntimeMetrics, Session
