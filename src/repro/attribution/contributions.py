@@ -9,7 +9,10 @@ probability falls to the floor.
 
 Everything here is read-only over a fitted
 :class:`~repro.core.model.CrossFeatureModel` and batched: one
-``_sub_model_outputs`` pass covers every alarming row.
+``_sub_model_outputs`` pass covers every alarming row.  A
+:class:`~repro.stream.fleet.FleetDetector` does not call
+:func:`contribution_matrix` at all: it takes ``1 - calibrated`` from the
+pass that scored the bucket, which gives the same bits.
 """
 
 from __future__ import annotations

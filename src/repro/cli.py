@@ -64,7 +64,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=20)
     parser.add_argument("--duration", type=float, default=1000.0)
     parser.add_argument("--connections", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
 
 
 def _add_plan_args(parser: argparse.ArgumentParser) -> None:
@@ -385,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one MANET scenario")
     _add_scenario_args(p_sim)
+    p_sim.add_argument("--seed", type=int, default=1)
     _add_runtime_args(p_sim)
     p_sim.set_defaults(func=cmd_simulate, build=_scenario)
 

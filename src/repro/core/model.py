@@ -43,7 +43,7 @@ from repro.core.discretization import EqualFrequencyDiscretizer
 from repro.core.scoring import average_match_count, average_probability
 from repro.core.threshold import select_threshold
 from repro.ml.base import CategoricalClassifier
-from repro.ml.decision_tree import C45Classifier
+from repro.ml.decision_tree import C45Classifier, NodeTable, stack_tables
 
 ClassifierFactory = Callable[[], CategoricalClassifier]
 
@@ -162,11 +162,14 @@ class CrossFeatureModel:
     prefilter_fraction, random_state:
         Passed to the discretizer / subset sampling.
     n_jobs:
-        Worker threads for sub-model training and scoring.  The L
-        sub-model fits (and the L per-sub-model scoring passes) are
-        mutually independent, so they parallelize without affecting
-        results: 1 (default) = serial, ``None``/``0`` = one thread per
-        CPU.  Results are identical for any value.
+        Worker threads for sub-model training, and for scoring when the
+        sub-models are not all C4.5 trees (NBC, RIPPER score one
+        sub-model at a time; a C4.5 ensemble scores in one stacked tree
+        walk, see :meth:`_sub_model_outputs`).  The L sub-model fits and
+        the per-sub-model scoring passes are mutually independent, so
+        they parallelize without affecting results: 1 (default) =
+        serial, ``None``/``0`` = one thread per CPU.  Results are
+        identical for any value.
     """
 
     def __init__(
@@ -193,6 +196,7 @@ class CrossFeatureModel:
         self.feature_names_: list[str] | None = None
         self.baseline_: np.ndarray | None = None  #: per-sub-model normal p_true
         self._keep_cols: dict[int, np.ndarray] | None = None  #: target -> column gather
+        self._stack: NodeTable | None = None  #: C4.5 sub-models as one table
 
     # ------------------------------------------------------------------
     # Algorithm 1: training procedure
@@ -255,6 +259,7 @@ class CrossFeatureModel:
         self._keep_cols = ctx.keep if ctx is not None else _keep_indices(
             codes.shape[1], self.targets_
         )
+        self._stack = None
         return self
 
     def _effective_jobs(self, n_tasks: int) -> int:
@@ -272,17 +277,50 @@ class CrossFeatureModel:
             self._keep_cols = keep
         return keep
 
+    def _stacked_trees(self) -> NodeTable | None:
+        """Every C4.5 sub-model's node table in one (None for NBC/RIPPER).
+
+        Each tree's attribute indices are mapped through its keep-gather
+        to columns of the discretized codes, and class distributions are
+        padded to the widest bucket count.  Built lazily after
+        :meth:`fit` (and after unpickling a model saved without it).
+        """
+        stack = getattr(self, "_stack", None)
+        if stack is None and all(isinstance(m, C45Classifier) for m in self.models_):
+            keep = self._keep_columns(len(self.discretizer.edges_))
+            stack = self._stack = stack_tables(
+                [model.node_table() for model in self.models_],
+                [keep[i] for i in self.targets_],
+                width=int(self.discretizer.n_values().max()),
+            )
+        return stack
+
     # ------------------------------------------------------------------
     # Algorithms 2 & 3: test procedures
     # ------------------------------------------------------------------
     def _sub_model_outputs(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-event, per-sub-model (match, p_true) matrices."""
+        """Per-event, per-sub-model (match, p_true) matrices.
+
+        A C4.5 ensemble walks its stacked node table once: an
+        ``(n_rows, n_models)`` node matrix moves one level per step, and
+        each row's ``p_true`` is read off the node it ends on (0 for a
+        bucket the sub-model never saw, from the zero padding).  Other
+        classifiers score one sub-model at a time.
+        """
         if self.discretizer is None:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=float)
         if self.feature_subset is not None:
             X = X[:, self.feature_subset]
         codes = self.discretizer.transform(X)
+        stack = self._stacked_trees()
+        if stack is not None:
+            node = stack.walk(codes)
+            # C-ordered like ``node``, so the p_true matrix is too: a
+            # strided matrix would pool a row in another summation order.
+            true = codes.take(self.targets_, axis=1)
+            return (stack.pred[node] == true).astype(float), stack.proba[node, true]
+
         n = len(codes)
         matches = np.zeros((n, len(self.models_)))
         p_true = np.zeros((n, len(self.models_)))
@@ -340,7 +378,10 @@ class CrossFeatureModel:
         ``"match_count"`` (Algorithm 2) or ``"calibrated_probability"``
         (baseline-calibrated geometric pooling; requires :meth:`calibrate`).
         """
-        matches, p_true = self._sub_model_outputs(X)
+        return self._pool(*self._sub_model_outputs(X), method)
+
+    def _pool(self, matches: np.ndarray, p_true: np.ndarray, method: str) -> np.ndarray:
+        """Per-row scores of one :meth:`_sub_model_outputs` pass."""
         if method == "avg_probability":
             return average_probability(p_true)
         if method == "match_count":
@@ -350,36 +391,33 @@ class CrossFeatureModel:
                 raise RuntimeError(
                     "calibrated_probability requires calibrate() on held-out normal data"
                 )
-            calibrated = np.minimum(
-                p_true / np.maximum(self.baseline_, self._MIN_BASELINE), 1.0
-            )
             return np.exp(
-                np.log(np.maximum(calibrated, self._GEO_FLOOR)).mean(axis=1)
+                np.log(np.maximum(self._calibrated(p_true), self._GEO_FLOOR)).mean(axis=1)
             )
         raise ValueError(f"unknown method: {method!r}; have {SCORING_METHODS}")
+
+    def _calibrated(self, p_true: np.ndarray) -> np.ndarray:
+        """``p_true`` over each sub-model's floored baseline, capped at 1
+        (the raw probabilities before :meth:`calibrate`)."""
+        if self.baseline_ is None:
+            return p_true
+        return np.minimum(p_true / np.maximum(self.baseline_, self._MIN_BASELINE), 1.0)
 
     def _calibrated_outputs(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ``(p_true, calibrated)`` sub-model matrices for ``X``.
 
-        ``calibrated`` falls back to the raw probabilities before
-        :meth:`calibrate`; one ``_sub_model_outputs`` pass covers every
-        row, so batched callers (attribution over all alarming windows)
-        pay one discretize + tree-walk instead of one per row.
+        One ``_sub_model_outputs`` pass covers every row, so batched
+        callers (attribution over all alarming windows) pay one
+        discretize + tree walk instead of one per row.
         """
         _, p_true = self._sub_model_outputs(X)
-        if self.baseline_ is not None:
-            calibrated = np.minimum(
-                p_true / np.maximum(self.baseline_, self._MIN_BASELINE), 1.0
-            )
-        else:
-            calibrated = p_true
-        return p_true, calibrated
+        return p_true, self._calibrated(p_true)
 
     def explain_batch(self, X: np.ndarray, top_k: int = 10) -> list[list[dict]]:
         """Batched :meth:`explain`: one entry list per row of ``X``.
 
         All rows share a single ``_sub_model_outputs`` pass (one
-        discretizer transform + one frontier-batched tree walk per
+        discretizer transform + one stacked walk of every C4.5
         sub-model), so explaining N alarming windows costs one scoring
         call instead of N — entry-for-entry identical to calling
         :meth:`explain` per row.

@@ -89,6 +89,10 @@ class ExperimentPlan:
         if not 0 <= self.warmup < math.inf:
             raise ValueError(f"warmup must be non-negative and finite, got {self.warmup!r}")
         validate_periods(self.periods)
+        # A frozen plan is a memo and cache key, so sequence fields given
+        # as lists are stored as tuples to keep it hashable.
+        for name in ("train_seeds", "normal_seeds", "attack_seeds", "periods"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0 <= self.monitor < self.n_nodes:
             raise ValueError(
                 f"monitor must be in [0, {self.n_nodes}), got {self.monitor!r}"
@@ -206,14 +210,19 @@ def plan_sim_key(plan: ExperimentPlan) -> ExperimentPlan:
 
     Two plans with equal sim keys simulate identical traces, so the
     runtime layer shares their simulations (periods, warmup, label policy
-    and monitor only affect feature extraction).
+    and monitor only affect feature extraction).  The one exception is a
+    selective dropping attack, which drops the packets bound for the
+    monitor: its plans keep their monitor.
     """
+    drops_for_monitor = (
+        plan.attack_kind != "blackhole" and plan.drop_mode == DropMode.SELECTIVE.value
+    )
     return replace(
         plan,
         periods=(5.0,),
         warmup=0.0,
         label_policy="session",
-        monitor=0,
+        monitor=plan.monitor if drops_for_monitor else 0,
     )
 
 

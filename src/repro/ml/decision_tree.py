@@ -12,12 +12,18 @@ The variant the paper uses as its best sub-model engine:
 
 Unseen attribute values at prediction time fall through to the split
 node's own class distribution (the C4.5 "most likely subtree" fallback).
+
+Prediction walks a :class:`NodeTable`, the fitted tree flattened into
+per-node arrays, with all rows moving one level per numpy step.  The
+same walk scores a whole ensemble at once over the tables of its trees
+stacked by :func:`stack_tables`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,11 +104,6 @@ class _TreeNode:
     def errors(self) -> int:
         return self.n - int(self.counts.max())
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(child.depth() for child in self.children.values())
-
     def n_leaves(self) -> int:
         if self.is_leaf:
             return 1
@@ -159,6 +160,111 @@ def trees_equal(a: _TreeNode | None, b: _TreeNode | None) -> bool:
     return all(trees_equal(child, b.children[v]) for v, child in a.children.items())
 
 
+class NodeTable(NamedTuple):
+    """Fitted trees as flat per-node arrays, walked by :meth:`walk`.
+
+    ``child[node, value]`` is the node a row moves to from ``node`` when
+    its code in column ``attr[node]`` is ``value``.  It is the node itself
+    at a leaf and for a value no child saw at fit; the last column, which
+    takes every code outside ``[0, width)``, always is.  After ``depth``
+    steps every row therefore rests on the node the per-row walk stops
+    at, and reads that node's ``proba`` (Laplace-smoothed class
+    distribution) or ``pred`` (its argmax).
+    """
+
+    attr: np.ndarray    #: (n_nodes,) code column of each split; 0 at leaves
+    child: np.ndarray   #: (n_nodes, width + 1) next node per code
+    proba: np.ndarray   #: (n_nodes, n_classes) class distribution
+    pred: np.ndarray    #: (n_nodes,) most probable class
+    roots: np.ndarray   #: (n_trees,) root node of each tree
+    depth: int          #: longest root-to-leaf path
+
+    def walk(self, codes: np.ndarray) -> np.ndarray:
+        """``(len(codes), n_trees)`` node each row ends on in each tree.
+
+        ``depth`` steps of six numpy calls each (three ``take`` and three
+        index sums), however many rows, trees or nodes; codes must
+        already lie in ``[0, width]``.  Every (row, tree) pair walks on
+        its own, so a row's answer does not depend on the rest of the
+        batch.
+        """
+        codes = np.ascontiguousarray(codes, dtype=np.intp)
+        stride = self.child.shape[1]
+        flat_codes = codes.ravel()
+        flat_child = self.child.ravel()
+        row_base = np.arange(len(codes))[:, None] * codes.shape[1]
+        node = np.repeat(self.roots[None, :], len(codes), axis=0)
+        for _ in range(self.depth):
+            value = flat_codes.take(row_base + self.attr.take(node))
+            node = flat_child.take(node * stride + value)
+        return node
+
+
+def _compile(root: _TreeNode, n_classes: int) -> NodeTable:
+    """Flatten one fitted tree, breadth first from node 0 = the root.
+
+    The walk collects plain Python lists and builds each array in one
+    call; the distributions come from the same ``(counts + 1.0) /
+    (counts.sum() + n_classes)`` expression as a per-node computation,
+    so every probability keeps its bits.
+    """
+    nodes, depths = [root], [0]
+    attrs: list[int] = []
+    parents: list[int] = []
+    values: list[int] = []
+    kids: list[int] = []
+    for i, node in enumerate(nodes):  # also visits the nodes appended below
+        attrs.append(0 if node.is_leaf else node.attr)
+        for value, kid in node.children.items():
+            parents.append(i)
+            values.append(value)
+            kids.append(len(nodes))
+            nodes.append(kid)
+            depths.append(depths[i] + 1)
+    width = max(values, default=-1) + 1
+    child = np.repeat(np.arange(len(nodes)), width + 1).reshape(len(nodes), width + 1)
+    child[parents, values] = kids
+    counts = np.array([node.counts for node in nodes])
+    proba = (counts + 1.0) / (counts.sum(axis=1, keepdims=True) + n_classes)
+    return NodeTable(
+        attr=np.array(attrs, dtype=np.intp),
+        child=child,
+        proba=proba,
+        pred=proba.argmax(axis=1),
+        roots=np.zeros(1, dtype=np.intp),
+        depth=max(depths),
+    )
+
+
+def stack_tables(
+    tables: Sequence[NodeTable], columns: Sequence[np.ndarray], width: int
+) -> NodeTable:
+    """One table holding every tree of ``tables``, walked in one pass.
+
+    Tree ``t``'s attribute ``a`` reads column ``columns[t][a]`` of the
+    shared codes.  Codes and classes lie in ``[0, width)``: class
+    distributions are zero-padded to ``width`` classes, so a class a
+    tree never saw at fit reads probability 0.
+    """
+    sizes = [len(t.attr) for t in tables]
+    starts = np.cumsum([0] + sizes[:-1])
+    n_nodes = sum(sizes)
+    child = np.empty((n_nodes, width + 1), dtype=np.intp)
+    proba = np.zeros((n_nodes, width))
+    for t, start, size in zip(tables, starts, sizes):
+        last = t.child.shape[1] - 1
+        child[start:start + size] = t.child[:, np.minimum(np.arange(width + 1), last)] + start
+        proba[start:start + size, : t.proba.shape[1]] = t.proba
+    return NodeTable(
+        attr=np.concatenate([cols[t.attr] for t, cols in zip(tables, columns)]),
+        child=child,
+        proba=proba,
+        pred=np.concatenate([t.pred for t in tables]),
+        roots=starts.astype(np.intp),
+        depth=max(t.depth for t in tables),
+    )
+
+
 class C45Classifier(CategoricalClassifier):
     """Gain-ratio decision tree with pessimistic pruning.
 
@@ -191,6 +297,7 @@ class C45Classifier(CategoricalClassifier):
         self.prune = prune
         self.cf = cf
         self.root_: _TreeNode | None = None
+        self._table: NodeTable | None = None  #: compiled lazily from root_
 
     #: The ensemble trainer may hand this classifier precomputed
     #: root-level contingency tables (``fit(..., root_tables=...)``).
@@ -219,6 +326,7 @@ class C45Classifier(CategoricalClassifier):
                                 root_tables=root_tables)
         if self.prune:
             self._prune_node(self.root_)
+        self._table = None
         return self
 
     def _class_counts(self, y_subset: np.ndarray) -> np.ndarray:
@@ -347,51 +455,38 @@ class C45Classifier(CategoricalClassifier):
         return subtree_errors
 
     # ------------------------------------------------------------------
-    def _node_proba(self, node: _TreeNode) -> np.ndarray:
-        """Laplace-smoothed class distribution of one node."""
-        counts = node.counts
-        return (counts + 1.0) / (counts.sum() + self.n_classes_)
+    def node_table(self) -> NodeTable:
+        """The fitted tree as a :class:`NodeTable` (compiled once per fit)."""
+        self._check_fitted()
+        table = getattr(self, "_table", None)  # unpickled older models lack it
+        if table is None:
+            table = self._table = _compile(self.root_, self.n_classes_)
+        return table
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Batched tree walk: rows move through the tree as index arrays.
+        """Class distributions from one :meth:`NodeTable.walk` of all rows.
 
-        Each split partitions its row block with one vectorized
-        comparison per child instead of a Python dict lookup per row, and
-        a row whose value no child saw at fit answers from the node it
-        stopped at.  Answers are bit-identical to a per-row walk (same
-        node reached, same smoothing expression); that walk is the test
-        oracle ``tests/ml/reference.py::predict_proba_rowwise``.
+        A row whose value no child saw at fit, negative codes included,
+        answers from the node it stopped at.  Answers are bit-identical to
+        a per-row walk (same node reached, same smoothing expression);
+        that walk is the test oracle
+        ``tests/ml/reference.py::predict_proba_rowwise``.
         """
         self._check_fitted()
         X = np.asarray(X, dtype=np.int64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
-        out = np.empty((len(X), self.n_classes_))
-        if len(X) == 0:
-            return out
-        stack: list[tuple[_TreeNode, np.ndarray]] = [(self.root_, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = self._node_proba(node)
-                continue
-            col = X[rows, node.attr]
-            routed = np.zeros(len(rows), dtype=bool)
-            for value, child in node.children.items():
-                mask = col == value
-                if mask.any():
-                    stack.append((child, rows[mask]))
-                    routed |= mask
-            if not routed.all():
-                # Unseen values: answer from this node's own counts.
-                out[rows[~routed]] = self._node_proba(node)
-        return out
+        table = self.node_table()
+        width = table.child.shape[1] - 1
+        # The walk indexes the flattened table, where a negative code
+        # would read the previous node's row: send it to the last column.
+        X = np.where((X >= 0) & (X < width), X, width)
+        return table.proba[table.walk(X)[:, 0]]
 
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
-        self._check_fitted()
-        return self.root_.depth()
+        return self.node_table().depth
 
     @property
     def n_leaves(self) -> int:

@@ -16,10 +16,11 @@ stream is a one-lane fleet driven by
 :func:`~repro.stream.durability.run_durable_fleet`.
 Scoring one row at a time is bit-identical to scoring the batch matrix:
 every step of :meth:`CrossFeatureModel.normality_score` — discretizer
-transform, sub-model tree walk, per-row probability lookup and the
-per-row mean / geometric pooling — treats rows independently, so the
-``(1, L)`` slice reproduces the batch row's bits.  The streaming test
-suite asserts this end to end.
+transform, the stacked walk of every sub-model tree, per-row
+probability lookup and the per-row mean / geometric pooling over a
+C-ordered matrix — treats rows independently, so the ``(1, L)`` slice
+reproduces the batch row's bits.  The streaming test suite asserts this
+end to end.
 """
 
 from __future__ import annotations

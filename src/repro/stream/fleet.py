@@ -7,14 +7,16 @@ monitored node, across one or many concurrent scenarios — into a single
 pipeline: windows closing on the same sampling tick are collected into
 one bucket and scored in **one** vectorized
 :meth:`~repro.core.model.CrossFeatureModel.normality_score` call, instead
-of N separate single-row calls.
+of N separate single-row calls.  With attribution on, the alarming rows'
+per-feature contributions are read off that same sub-model pass rather
+than recomputed.
 
 Correctness rests on the PR 4 streaming contract: every step of
-``normality_score`` (discretizer transform, frontier-batched tree walk,
-per-row probability pooling) treats rows independently, so scoring the
-``(N, L)`` tick bucket is bit-identical to N independent ``(1, L)``
-calls — a fleet run reproduces N independent one-lane runs exactly, and
-both reproduce the batch pipeline's scores (asserted by
+``normality_score`` (discretizer transform, one stacked walk of every
+sub-model tree, per-row probability pooling) treats rows independently,
+so scoring the ``(N, L)`` tick bucket is bit-identical to N independent
+``(1, L)`` calls — a fleet run reproduces N independent one-lane runs
+exactly, and both reproduce the batch pipeline's scores (asserted by
 ``tests/stream/test_fleet_equivalence.py`` and in the bench harness).
 The fleet is the only streaming engine: an :class:`OnlineDetector` is a
 one-lane fleet sealed just past each row.
@@ -66,12 +68,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.attribution import (
-    AlarmAttributor,
-    Verdict,
-    contribution_matrix,
-    fuse_verdicts,
-)
+from repro.attribution import AlarmAttributor, Verdict, fuse_verdicts
 from repro.core.model import SCORING_METHODS, CrossFeatureDetector, CrossFeatureModel
 from repro.features.traffic import DEFAULT_SAMPLING_PERIODS
 from repro.stream.config import (
@@ -729,25 +726,35 @@ class FleetDetector:
             self._score_bucket(t, self._buckets.pop(t))
 
     def _score_bucket(self, t: float, entries: list[tuple[_Lane, WindowRow]]) -> None:
-        """One vectorized scoring call for all windows closing at ``t``."""
+        """One vectorized scoring call for all windows closing at ``t``.
+
+        Without attributors the model is only asked for
+        ``normality_score``; with them, one ``_sub_model_outputs`` pass
+        yields both the scores and the alarming rows' contributions.
+        """
         X = np.vstack([row.features for _, row in entries])
         t0 = _time.perf_counter()
-        scores = self.model.normality_score(X, self.method)
+        if self._attributors:
+            matches, p_true = self.model._sub_model_outputs(X)
+            scores = self.model._pool(matches, p_true, self.method)
+        else:
+            scores = self.model.normality_score(X, self.method)
         latency = _time.perf_counter() - t0
         self.batch_sizes.append(len(entries))
         if self.on_batch is not None:
             self.on_batch(len(entries), latency)
 
-        # Attribution reads the finished scores, never the reverse:
-        # contributions for every alarming row in the bucket come from
-        # one batched sub-model pass (mirroring the scoring call).
+        # Attribution reads the finished scoring pass, never the reverse:
+        # an alarming row's contributions are ``1 - calibrated`` of the
+        # p_true row that scored it, what contribution_matrix would
+        # recompute from the window.
         contributions: dict[int, np.ndarray] = {}
         if self._attributors:
             alarm_rows = [
                 k for k, s in enumerate(scores) if float(s) < self.threshold
             ]
             if alarm_rows:
-                batch = contribution_matrix(self.model, X[alarm_rows])
+                batch = 1.0 - self.model._calibrated(p_true[alarm_rows])
                 contributions = {k: batch[j] for j, k in enumerate(alarm_rows)}
 
         alarming: list[tuple[_Lane, float]] = []

@@ -142,6 +142,8 @@ BAD_CLI_VALUES = [
     (["fleet", *SMALL, "--quorum", "0"], "quorum"),
     (["fleet", *SMALL, "--monitors", "0"], "--monitors"),
     (["stream", *SMALL, "--checkpoint-every", "0"], "--checkpoint-every"),
+    # Only simulate reads a scenario seed; the plan commands pin theirs.
+    (["detect", *SMALL, "--seed", "3"], "--seed"),
 ]
 
 

@@ -11,8 +11,9 @@ shipped classifier (``monkeypatch.setitem(CLASSIFIERS, name,
 REFERENCE_CLASSIFIERS[name])``) to train a whole ``Session`` on the
 reference path.
 
-:func:`predict_proba_rowwise` is the oracle for the batched tree walk of
-:meth:`C45Classifier.predict_proba`.
+:func:`predict_proba_rowwise` is the oracle for the node-table walk of
+:meth:`C45Classifier.predict_proba`, and :func:`sub_model_outputs_rowwise`
+for the stacked walk of ``CrossFeatureModel._sub_model_outputs``.
 """
 
 import numpy as np
@@ -38,6 +39,7 @@ class ReferenceC45(C45Classifier):
         self.root_ = self._grow_reference(X, y, np.arange(len(y)), depth=0)
         if self.prune:
             self._prune_node(self.root_)
+        self._table = None
         return self
 
     def _grow_reference(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> _TreeNode:
@@ -128,3 +130,23 @@ def predict_proba_rowwise(clf: C45Classifier, X) -> np.ndarray:
             node = child
         out[i] = (node.counts + 1.0) / (node.counts.sum() + clf.n_classes_)
     return out
+
+
+def sub_model_outputs_rowwise(model, X) -> tuple[np.ndarray, np.ndarray]:
+    """``CrossFeatureModel._sub_model_outputs`` of a C4.5 ensemble, one
+    sub-model at a time, each scored through :func:`predict_proba_rowwise`
+    on its ``np.delete`` attribute matrix."""
+    X = np.asarray(X, dtype=float)
+    if model.feature_subset is not None:
+        X = X[:, model.feature_subset]
+    codes = model.discretizer.transform(X)
+    rows = np.arange(len(codes))
+    matches = np.zeros((len(codes), len(model.models_)))
+    p_true = np.zeros((len(codes), len(model.models_)))
+    for m, (clf, i) in enumerate(zip(model.models_, model.targets_)):
+        proba = predict_proba_rowwise(clf, np.delete(codes, i, axis=1))
+        true = codes[:, i]
+        matches[:, m] = np.argmax(proba, axis=1) == true
+        in_range = true < proba.shape[1]
+        p_true[in_range, m] = proba[rows[in_range], true[in_range]]
+    return matches, p_true

@@ -55,12 +55,12 @@ class TestC45Prediction:
               suppress_health_check=[HealthCheck.too_slow])
     def test_batched_walk_matches_rowwise_oracle(self, data, prune, max_depth, probe):
         """Bit for bit, on the training rows and on probe rows whose values
-        (up to two past the largest seen) no child saw at fit."""
+        (negative, or up to two past the largest seen) no child saw at fit."""
         X, y = data
         clf = C45Classifier(prune=prune, max_depth=max_depth).fit(X, y)
         unseen = probe.draw(arrays(
             np.int64, (probe.draw(st.integers(1, 30)), X.shape[1]),
-            elements=st.integers(0, int(X.max()) + 2),
+            elements=st.integers(-2, int(X.max()) + 2),
         ))
         for rows in (X, unseen):
             assert np.array_equal(clf.predict_proba(rows), predict_proba_rowwise(clf, rows))

@@ -154,6 +154,40 @@ class TestSessionSharing:
             replace(TINY_PLAN, duration=150.0)
         )
 
+    def test_selective_dropping_keeps_its_monitor(self):
+        """A selective dropping attack drops the packets bound for the
+        monitor, so its traces are simulated per monitor; every other
+        plan still shares them across monitors."""
+        from dataclasses import replace
+
+        from repro import run_scenario
+        from repro.simulation.scenario import trace_fingerprint
+
+        plan = ExperimentPlan(
+            n_nodes=10, duration=300.0, max_connections=30,
+            train_seeds=(1,), calibration_seed=2, normal_seeds=(),
+            attack_seeds=(4,), warmup=20.0,
+            attack_kind="dropping", drop_mode="selective", monitor=2,
+        )
+        assert plan_sim_key(plan) != plan_sim_key(replace(plan, monitor=0))
+        for kind in ("mixed", "dropping"):
+            constant = replace(plan, attack_kind=kind, drop_mode="constant")
+            assert plan_sim_key(constant) == plan_sim_key(replace(constant, monitor=0))
+        blackhole = replace(plan, attack_kind="blackhole")
+        assert plan_sim_key(blackhole) == plan_sim_key(replace(blackhole, monitor=0))
+
+        streamed = Session(cache=False).raw_traces(plan).abnormal_evals[0]
+        direct = run_scenario(plan.scenario_config(4), attacks=plan.build_attacks())
+        assert trace_fingerprint(streamed) == trace_fingerprint(direct)
+
+    def test_list_fields_keep_the_plan_hashable(self):
+        from dataclasses import replace
+
+        listed = replace(TINY_PLAN, periods=[5.0, 30.0], attack_seeds=[4])
+        assert listed == TINY_PLAN and hash(listed) == hash(TINY_PLAN)
+        assert listed.periods == (5.0, 30.0)
+        assert len(Session(cache=False).bundle(listed).abnormal_evals) == 1
+
     def test_monitor_override_does_not_resimulate(self, tmp_path):
         session = Session(cache_dir=tmp_path)
         b0 = session.bundle(TINY_PLAN)

@@ -166,6 +166,30 @@ class TestFleetBitIdentity:
         assert [a.verdict for a in fleet._lanes["n0"].alarms] == \
             [a.verdict for a in online.alarms]
 
+    def test_alarm_contributions_equal_contribution_matrix(
+        self, model, threshold, monkeypatch
+    ):
+        """Each alarming row's contributions, read off its bucket's
+        scoring pass, equal contribution_matrix recomputed from the row."""
+        from repro.attribution import AlarmAttributor, contribution_matrix
+
+        handed: list[tuple[np.ndarray, np.ndarray | None]] = []
+        attribute = AlarmAttributor.attribute
+
+        def spy(self, time, score, features, alarming, contribution=None):
+            if alarming:
+                handed.append((features, contribution))
+            return attribute(self, time, score, features, alarming,
+                             contribution=contribution)
+
+        monkeypatch.setattr(AlarmAttributor, "attribute", spy)
+        self.drive(model, threshold, attribution=True)
+        assert handed, "fixture must actually alarm"
+        for features, contribution in handed:
+            assert contribution is not None
+            assert np.array_equal(contribution,
+                                  contribution_matrix(model, features)[0])
+
     def test_fused_verdict_votes_over_lanes(self, model, threshold):
         fleet = self.drive(model, threshold, attribution=True)
         fused = fleet.fused[0]
