@@ -10,18 +10,24 @@ onset.
 It runs strictly *after* scoring — it reads scores and feature rows,
 never writes them — so attribution on vs. off cannot change a score, an
 alarm, or their bits.  That contract is asserted by the streaming tests
-and the ``bench --suite attribution`` harness.
+and ``benchmarks/test_attribution.py``.
+
+Everything a verdict needs that does not change per window — each
+column's fine activity group and group size, and each taxonomy
+variant's basis positions, prototype and norm — is compiled once per
+attributor, so a verdict costs a handful of numpy calls.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from repro.attribution.changepoint import ScoreCusum, residual_flags
+from repro.attribution.changepoint import ScoreCusum, _zscores
 from repro.attribution.contributions import (
     contribution_matrix,
     feature_labels,
@@ -29,16 +35,19 @@ from repro.attribution.contributions import (
     top_contributors,
 )
 from repro.attribution.taxonomy import (
+    ACTIVITY_DAMPING,
     ANOMALY_TYPES,
     MIN_MATCH,
     UNKNOWN,
     AnomalyType,
-    classify_activity,
+    _classify,
+    _compile_taxonomy,
+    _group_table,
+    _pool,
     classify_shares,
     feature_group,
     fine_group,
     group_shares,
-    signed_activity,
 )
 from repro.core.model import CrossFeatureModel
 
@@ -114,6 +123,29 @@ class AlarmAttributor:
     ):
         if model.discretizer is None:
             raise ValueError("model must be fitted before attribution")
+        # Negated comparisons, so NaN fails them too.
+        if not 0 < threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+        if not -math.inf < min_match < math.inf:
+            raise ValueError(f"min_match must be finite, got {min_match!r}")
+        if not 0 < residual_z < math.inf:
+            raise ValueError(f"residual_z must be positive and finite, got {residual_z!r}")
+        for name, value in (
+            ("top_k", top_k),
+            ("history", history),
+            ("residual_window", residual_window),
+            ("residual_min_history", residual_min_history),
+        ):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or not value >= 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if residual_min_history > residual_window:
+            # The row history could never reach the minimum: no activity
+            # view and no residual flags, ever.
+            raise ValueError(
+                f"residual_min_history ({residual_min_history}) must not exceed "
+                f"residual_window ({residual_window})"
+            )
         self.model = model
         self.threshold = float(threshold)
         self.taxonomy = dict(ANOMALY_TYPES if taxonomy is None else taxonomy)
@@ -127,17 +159,20 @@ class AlarmAttributor:
         self._subset = model.feature_subset
         # Fine activity groups are indexed by feature-vector column in
         # the model's (subsetted) view — the z-scores live in feature
-        # space, not sub-model space.
+        # space, not sub-model space.  The pooling table and every
+        # variant's basis are compiled once, here.
         names = model.feature_names_
-        self._fine_groups = (
-            None if names is None else [fine_group(n) for n in names]
+        fine = [] if names is None else [fine_group(n) for n in names]
+        self._activity = _group_table(fine) if any(fine) else None
+        self._activity_types = (
+            None if self._activity is None
+            else _compile_taxonomy(self._activity.names, self.taxonomy)
         )
-        if self._fine_groups is not None and not any(self._fine_groups):
-            self._fine_groups = None  # no MANET vocabulary to z-score
         self.cusum = ScoreCusum(self.threshold)
         self._recent_rows: deque[np.ndarray] = deque(maxlen=int(residual_window))
         self._recent_contribs: deque[np.ndarray] = deque(maxlen=int(history))
-        self._recent_acts: deque[dict[str, float]] = deque(maxlen=int(history))
+        #: Signed-activity vectors in ``self._activity.names`` order.
+        self._recent_acts: deque[np.ndarray] = deque(maxlen=int(history))
         self.verdicts = 0
 
     def _view(self, features: np.ndarray) -> np.ndarray:
@@ -171,25 +206,24 @@ class AlarmAttributor:
                 contribution = contribution_matrix(self.model, features)[0]
             self._recent_contribs.append(np.asarray(contribution, dtype=float))
             aggregated = np.mean(np.vstack(self._recent_contribs), axis=0)
+            # One z-score of the row against the recent normal history
+            # feeds both the signed activity and the residual flags.
+            z = None
+            if len(self._recent_rows) >= self.residual_min_history:
+                z = _zscores(np.vstack(self._recent_rows), row)
             # Classification prefers the signed-activity view (direction
             # separates the attack taxonomy); it needs a vocabulary and
             # enough non-alarming history to z-score against, else fall
             # back to blame shares.
-            if (
-                self._fine_groups is not None
-                and len(self._recent_rows) >= self.residual_min_history
-            ):
+            if self._activity is not None and z is not None:
                 self._recent_acts.append(
-                    signed_activity(
-                        row, np.vstack(self._recent_rows), self._fine_groups
-                    )
+                    _pool(np.tanh(z / ACTIVITY_DAMPING), self._activity)
                 )
             if self._recent_acts:
-                activity = {
-                    g: float(np.mean([a[g] for a in self._recent_acts]))
-                    for g in self._recent_acts[0]
-                }
-                anomaly_type, match = classify_activity(activity, self.taxonomy)
+                # Each group's mean over the contiguous last axis: the
+                # same reduction as np.mean over that group's history.
+                activity = np.stack(self._recent_acts, axis=1).mean(axis=1)
+                anomaly_type, match = _classify(activity, self._activity_types)
             else:
                 shares = group_shares(aggregated, self._groups)
                 anomaly_type, match = classify_shares(
@@ -199,15 +233,9 @@ class AlarmAttributor:
                 aggregated, self._labels, self._targets, self.top_k
             )
             residual: tuple[bool, ...] = ()
-            if self._recent_rows:
-                flags = residual_flags(
-                    np.vstack(self._recent_rows),
-                    row,
-                    z=self.residual_z,
-                    min_history=self.residual_min_history,
-                )
-                if flags is not None:
-                    residual = tuple(bool(flags[t]) for t in targets)
+            if z is not None:
+                flags = np.abs(z) >= self.residual_z
+                residual = tuple(bool(flags[t]) for t in targets)
             verdict = Verdict(
                 anomaly_type=anomaly_type,
                 match=float(match),
@@ -239,7 +267,9 @@ class AlarmAttributor:
             "cusum": self.cusum.snapshot(),
             "recent_rows": [r.tolist() for r in self._recent_rows],
             "recent_contribs": [c.tolist() for c in self._recent_contribs],
-            "recent_acts": [dict(a) for a in self._recent_acts],
+            "recent_acts": [
+                dict(zip(self._activity.names, a.tolist())) for a in self._recent_acts
+            ],
             "verdicts": self.verdicts,
         }
 
@@ -255,7 +285,7 @@ class AlarmAttributor:
         )
         self._recent_acts.clear()
         self._recent_acts.extend(
-            {g: float(v) for g, v in a.items()}
+            np.array([a[g] for g in self._activity.names], dtype=float)
             for a in state.get("recent_acts", [])
         )
         self.verdicts = state["verdicts"]

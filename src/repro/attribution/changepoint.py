@@ -20,6 +20,7 @@ watching per-window statistics over time:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,15 @@ class ScoreCusum:
         drift_frac: float = DRIFT_FRAC,
         decision_frac: float = DECISION_FRAC,
     ):
-        if reference <= 0:
-            raise ValueError(f"reference score must be positive (got {reference:g})")
+        # Negated comparisons, so NaN fails them too.
+        if not 0 < reference < math.inf:
+            raise ValueError(f"reference must be positive and finite, got {reference!r}")
+        if not 0 <= drift_frac < math.inf:
+            raise ValueError(f"drift_frac must be non-negative and finite, got {drift_frac!r}")
+        if not 0 < decision_frac < math.inf:
+            raise ValueError(
+                f"decision_frac must be positive and finite, got {decision_frac!r}"
+            )
         self.reference = float(reference)
         self.drift = float(drift_frac) * self.reference
         self.decision = float(decision_frac) * self.reference
@@ -156,9 +164,18 @@ def residual_zscores(
         history = history[None, :]
     if len(history) < min_history:
         return None
+    return np.abs(_zscores(history, np.asarray(current, dtype=float)))
+
+
+def _zscores(history: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Signed z of ``current`` against the columns of a 2-D ``history``.
+
+    The one forecast-residual z: :func:`residual_zscores` takes its
+    magnitude, the taxonomy's signed activity squashes its sign.
+    """
     mean = history.mean(axis=0)
     std = np.maximum(history.std(axis=0), 1e-9)
-    return np.abs((np.asarray(current, dtype=float) - mean) / std)
+    return (current - mean) / std
 
 
 def residual_flags(

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from repro.attribution.changepoint import _zscores
 
 __all__ = [
     "ACTIVITY_DAMPING",
@@ -162,6 +164,35 @@ def fine_group(name: object) -> str | None:
     return None
 
 
+class _GroupTable(NamedTuple):
+    """Fine-group pooling table for one column vocabulary."""
+
+    names: tuple[str, ...]  #: the fine groups present, sorted
+    columns: np.ndarray     #: columns that have a fine group, in order
+    codes: np.ndarray       #: each such column's index into ``names``
+    sizes: np.ndarray       #: member columns per group
+
+
+def _group_table(groups: Sequence[str | None]) -> _GroupTable:
+    names = tuple(sorted({g for g in groups if g is not None}))
+    index = {g: i for i, g in enumerate(names)}
+    columns = np.array([j for j, g in enumerate(groups) if g is not None], dtype=np.intp)
+    codes = np.array([index[g] for g in groups if g is not None], dtype=np.intp)
+    return _GroupTable(names, columns, codes, np.bincount(codes, minlength=len(names)))
+
+
+def _pool(squashed: np.ndarray, table: _GroupTable) -> np.ndarray:
+    """Per-group mean of the squashed columns, in ``table.names`` order.
+
+    ``bincount`` sums each group's members from 0.0 in column order,
+    the same additions a running per-group total makes.
+    """
+    sums = np.bincount(
+        table.codes, weights=squashed[table.columns], minlength=len(table.names)
+    )
+    return sums / table.sizes
+
+
 def signed_activity(
     features: np.ndarray,
     history: np.ndarray,
@@ -178,20 +209,49 @@ def signed_activity(
     its recent normal level" and -1 "far below".
     """
     features = np.asarray(features, dtype=float)
-    history = np.atleast_2d(np.asarray(history, dtype=float))
     if len(features) != len(groups):
         raise ValueError(f"{len(features)} columns for {len(groups)} groups")
-    mean = history.mean(axis=0)
-    std = np.maximum(history.std(axis=0), 1e-9)
-    squashed = np.tanh((features - mean) / std / damping)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for g, a in zip(groups, squashed):
-        if g is None:
+    table = _group_table(groups)
+    z = _zscores(np.atleast_2d(np.asarray(history, dtype=float)), features)
+    return dict(zip(table.names, _pool(np.tanh(z / damping), table).tolist()))
+
+
+#: One variant compiled against an activity vocabulary: the positions of
+#: the vocabulary's groups in the variant's sorted basis, the basis size,
+#: the basis-ordered prototype ``q`` and its norm.
+_Variant = tuple[np.ndarray, int, np.ndarray, float]
+
+
+def _compile_variants(
+    names: tuple[str, ...], variants: Iterable[Mapping[str, float]]
+) -> list[_Variant]:
+    compiled = []
+    for variant in variants:
+        basis = sorted(set(names) | set(variant))
+        index = {g: i for i, g in enumerate(basis)}
+        q = np.array([variant.get(g, 0.0) for g in basis])
+        positions = np.array([index[g] for g in names], dtype=np.intp)
+        compiled.append((positions, len(basis), q, np.linalg.norm(q)))
+    return compiled
+
+
+def _best_cosine(activity: np.ndarray, variants: list[_Variant]) -> float:
+    """Best centred cosine of a vocabulary-ordered activity vector."""
+    best = 0.0
+    for positions, size, q, nq in variants:
+        a = np.zeros(size)
+        a[positions] = activity
+        a = a - a.mean()
+        na = np.linalg.norm(a)
+        if na < 1e-12 or nq < 1e-12:
             continue
-        sums[g] = sums.get(g, 0.0) + float(a)
-        counts[g] = counts.get(g, 0) + 1
-    return {g: sums[g] / counts[g] for g in sorted(sums)}
+        best = max(best, float(a @ q / (na * nq)))
+    return best
+
+
+def _activity_vector(activity: Mapping[str, float]) -> tuple[tuple[str, ...], np.ndarray]:
+    names = tuple(sorted(activity))
+    return names, np.array([activity[g] for g in names], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -232,17 +292,8 @@ class AnomalyType:
         subtracted) so a uniform "everything is up" window cannot match
         a shape-specific prototype; stored variants are already centred.
         """
-        best = 0.0
-        for variant in self.variants:
-            basis = sorted(set(activity) | set(variant))
-            a = np.array([activity.get(g, 0.0) for g in basis])
-            q = np.array([variant.get(g, 0.0) for g in basis])
-            a = a - a.mean()
-            na, nq = np.linalg.norm(a), np.linalg.norm(q)
-            if na < 1e-12 or nq < 1e-12:
-                continue
-            best = max(best, float(a @ q / (na * nq)))
-        return best
+        names, vector = _activity_vector(activity)
+        return _best_cosine(vector, _compile_variants(names, self.variants))
 
 
 #: The registry.  Insertion order is the deterministic tie-break: when
@@ -489,14 +540,7 @@ def classify_shares(
     classification is a pure function of its inputs.
     """
     taxonomy = ANOMALY_TYPES if taxonomy is None else taxonomy
-    best_name, best_match = UNKNOWN, float("-inf")
-    for atype in taxonomy.values():
-        m = atype.match(shares)
-        if m > best_match:
-            best_name, best_match = atype.name, m
-    if best_match < min_match:
-        return UNKNOWN, max(best_match, 0.0)
-    return best_name, best_match
+    return _pick(((t.name, t.match(shares)) for t in taxonomy.values()), min_match)
 
 
 def classify_activity(
@@ -512,11 +556,35 @@ def classify_activity(
     declared variants score 0 — a shares-only type never wins here.
     """
     taxonomy = ANOMALY_TYPES if taxonomy is None else taxonomy
+    names, vector = _activity_vector(activity)
+    return _classify(vector, _compile_taxonomy(names, taxonomy), min_match)
+
+
+def _compile_taxonomy(
+    names: tuple[str, ...], taxonomy: Mapping[str, AnomalyType]
+) -> list[tuple[str, list[_Variant]]]:
+    """Every type's variants compiled against one activity vocabulary."""
+    return [(t.name, _compile_variants(names, t.variants)) for t in taxonomy.values()]
+
+
+def _classify(
+    activity: np.ndarray,
+    compiled: list[tuple[str, list[_Variant]]],
+    min_match: float = ACTIVITY_MIN_MATCH,
+) -> tuple[str, float]:
+    """:func:`classify_activity` over a compiled taxonomy."""
+    return _pick(
+        ((name, _best_cosine(activity, variants)) for name, variants in compiled),
+        min_match,
+    )
+
+
+def _pick(matches: Iterable[tuple[str, float]], min_match: float) -> tuple[str, float]:
+    """The first best ``(name, match)``, or ``UNKNOWN`` below ``min_match``."""
     best_name, best_match = UNKNOWN, float("-inf")
-    for atype in taxonomy.values():
-        m = atype.match_activity(activity)
+    for name, m in matches:
         if m > best_match:
-            best_name, best_match = atype.name, m
+            best_name, best_match = name, m
     if best_match < min_match:
         return UNKNOWN, max(best_match, 0.0)
     return best_name, best_match

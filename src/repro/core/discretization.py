@@ -19,6 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_n_buckets(n_buckets: int) -> None:
+    """Reject an ``n_buckets`` that is not an int >= 2 (NaN included)."""
+    if isinstance(n_buckets, bool) or not isinstance(n_buckets, (int, np.integer)) \
+            or not n_buckets >= 2:
+        raise ValueError(f"n_buckets must be an int >= 2, got {n_buckets!r}")
+
+
 class EqualFrequencyDiscretizer:
     """Per-column equal-frequency bucketing.
 
@@ -40,8 +47,7 @@ class EqualFrequencyDiscretizer:
         random_state: int = 0,
         out_of_range_bucket: bool = True,
     ):
-        if n_buckets < 2:
-            raise ValueError("n_buckets must be >= 2")
+        _check_n_buckets(n_buckets)
         if prefilter_fraction is not None and not 0 < prefilter_fraction <= 1:
             raise ValueError("prefilter_fraction must be in (0, 1]")
         self.n_buckets = n_buckets

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.discretization import EqualFrequencyDiscretizer
+from repro.core.discretization import EqualFrequencyDiscretizer, _check_n_buckets
 from repro.core.scoring import average_match_count, average_probability
 from repro.core.threshold import select_threshold
 from repro.ml.base import CategoricalClassifier
@@ -182,6 +182,7 @@ class CrossFeatureModel:
         random_state: int = 0,
         n_jobs: int | None = 1,
     ):
+        _check_n_buckets(n_buckets)
         self.classifier_factory = classifier_factory
         self.n_buckets = n_buckets
         self.max_models = max_models
@@ -500,6 +501,8 @@ class CrossFeatureDetector:
     ):
         self.model = CrossFeatureModel(classifier_factory=classifier_factory, **model_kwargs)
         self.method = method
+        if not 0.0 <= false_alarm_rate <= 1.0:
+            raise ValueError(f"false_alarm_rate must be in [0, 1], got {false_alarm_rate!r}")
         self.false_alarm_rate = false_alarm_rate
         if not 0.0 < calibration_fraction < 1.0:
             raise ValueError("calibration_fraction must be in (0, 1)")

@@ -41,15 +41,28 @@ from repro.simulation.stats import NodeStats, RouteEventKind
 from repro.stream.config import validate_warmup
 from repro.stream.ring import EventRing, RouteLengthRing
 
-_DIRECTION_BY_VALUE = {int(d): d.name.lower() for d in Direction}
 _NAMED_TYPES = {
-    int(PacketType.DATA): "data",
-    int(PacketType.RREQ): "rreq",
-    int(PacketType.RREP): "rrep",
-    int(PacketType.RERR): "rerr",
-    int(PacketType.HELLO): "hello",
+    PacketType.RREQ: "rreq",
+    PacketType.RREP: "rrep",
+    PacketType.RERR: "rerr",
+    PacketType.HELLO: "hello",
 }
-_CONTROL_VALUES = frozenset(int(pt) for pt in _CONTROL_TYPES)
+
+
+def _packet_streams(ptype: PacketType, direction: Direction) -> list[tuple[str, str]]:
+    """The Table 5 ``(packet type, direction)`` streams one packet event feeds."""
+    dir_name = direction.name.lower()
+    if ptype == PacketType.DATA:
+        # The encapsulation fold: in-transit data activity counts as
+        # "route (all)" only; end-to-end data keeps its own stream.
+        if direction in (Direction.FORWARDED, Direction.DROPPED):
+            return [("route_all", dir_name)]
+        return [("data", dir_name)]
+    streams = [("route_all", dir_name)] if ptype in _CONTROL_TYPES else []
+    if ptype in _NAMED_TYPES:
+        streams.append((_NAMED_TYPES[ptype], dir_name))
+    return streams
+
 
 _ROUTE_KIND_ORDER = (
     RouteEventKind.ADD,
@@ -137,6 +150,16 @@ class StreamingExtractor:
             (self._traffic[(s.packet_type, s.direction)], s.period, s.measure != "count")
             for s in self._specs
         ]
+        #: Packet sink table: ``(ptype, direction)`` -> the ring pushes one
+        #: event makes.  IntEnum keys hash like their ints, so enum and
+        #: int lookups hit the same entry.
+        self._sinks = {
+            (int(pt), int(dr)): tuple(
+                self._traffic[key].push for key in _packet_streams(pt, dr)
+            )
+            for pt in PacketType
+            for dr in Direction
+        }
         self._route = {
             int(kind): EventRing(self.sampling_period) for kind in _ROUTE_KIND_ORDER
         }
@@ -211,22 +234,14 @@ class StreamingExtractor:
 
     def on_packet(self, time: float, ptype: PacketType, direction: Direction) -> None:
         """One packet event at the monitor, live from the recorder."""
-        self._ingest(time)
-        pt, dr = int(ptype), int(direction)
-        dir_name = _DIRECTION_BY_VALUE[dr]
-        if pt == int(PacketType.DATA):
-            # The encapsulation fold: in-transit data activity counts as
-            # "route (all)" only; end-to-end data keeps its own stream.
-            if dr in (int(Direction.FORWARDED), int(Direction.DROPPED)):
-                self._traffic[("route_all", dir_name)].push(time)
-            else:
-                self._traffic[("data", dir_name)].push(time)
-            return
-        if pt in _CONTROL_VALUES:
-            self._traffic[("route_all", dir_name)].push(time)
-        name = _NAMED_TYPES.get(pt)
-        if name is not None:
-            self._traffic[(name, dir_name)].push(time)
+        # ``_ingest`` inlined: this runs once per packet event.
+        pending = self._pending
+        if pending is not None and time > pending[0]:
+            self._close_window(*pending)
+            self._pending = None
+        self._last_event_time = time
+        for push in self._sinks[ptype, direction]:
+            push(time)
 
     def on_route_event(self, time: float, kind: RouteEventKind) -> None:
         """One route-fabric event (Feature Set I), live from the recorder."""

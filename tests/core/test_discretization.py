@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.discretization import EqualFrequencyDiscretizer
+from repro.core.model import CrossFeatureModel
 
 
 class TestFit:
@@ -155,3 +156,13 @@ class TestTransformIdentity:
             clone.transform(np.array([[0.5]])),
             _per_column_reference(disc, np.array([[0.5]])),
         )
+
+
+@pytest.mark.parametrize("n_buckets", [2.5, float("nan"), 1, 0, -3, True, 5.0])
+@pytest.mark.parametrize("make", [
+    lambda n: EqualFrequencyDiscretizer(n_buckets=n),
+    lambda n: CrossFeatureModel(n_buckets=n),
+], ids=["discretizer", "model"])
+def test_bad_n_buckets_rejected_at_construction(make, n_buckets):
+    with pytest.raises(ValueError, match="n_buckets"):
+        make(n_buckets)

@@ -208,3 +208,9 @@ class TestDetector:
     def test_invalid_calibration_fraction(self):
         with pytest.raises(ValueError):
             CrossFeatureDetector(calibration_fraction=1.5)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+def test_bad_false_alarm_rate_rejected_at_construction(rate):
+    with pytest.raises(ValueError, match="false_alarm_rate"):
+        CrossFeatureDetector(false_alarm_rate=rate)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.model import CrossFeatureModel
-from repro.stream import FleetDetector, OnlineDetector
+from repro.stream import FleetDetector, OnlineDetector, load_fleet_checkpoint
+from repro.stream.durability import save_fleet_checkpoint
 from repro.stream.extractor import WindowRow
 
 N_FEATURES = 4
@@ -227,3 +228,77 @@ class TestFleetCheckpoint:
         fleet.finish()
         fresh.finish()
         assert [f.verdict for f in fresh.fused] == [f.verdict for f in fleet.fused]
+
+
+#: Table 4/5 names, so the signed-activity path has a vocabulary to pool.
+MANET_NAMES = [
+    "rreq_received_5s_count",
+    "rreq_sent_5s_count",
+    "data_received_5s_count",
+    "data_sent_5s_count",
+    "route_add_count",
+    "absolute_velocity",
+]
+
+
+def manet_normal(n=300, seed=0):
+    rng = np.random.default_rng(seed)
+    load = rng.uniform(0, 10, size=n)
+    return np.column_stack([
+        load + rng.normal(0, 0.3, n),
+        2 * load + rng.normal(0, 0.5, n),
+        load ** 1.5 + rng.normal(0, 0.5, n),
+        0.5 * load + rng.normal(0, 0.3, n),
+        rng.uniform(0, 1, n),
+        rng.uniform(0, 1, n),
+    ])
+
+
+class TestLiveActivityCheckpoint:
+    """A checkpoint taken mid-episode, once the activity history is live."""
+
+    @pytest.fixture(scope="class")
+    def manet(self):
+        m = CrossFeatureModel()
+        m.fit(manet_normal(), feature_names=MANET_NAMES)
+        m.calibrate(manet_normal(seed=1))
+        return m, 0.3
+
+    def rows(self, model, threshold):
+        """Clean windows, then an attack episode from window 16 on."""
+        X = manet_normal(n=40, seed=5)
+        X[16:, :2] += 1e4   # an rreq storm...
+        X[16:, 2:4] = 0.0   # ...while data traffic stops
+        scores = model.normality_score(X, "avg_probability")
+        assert (scores[:16] >= threshold).sum() >= 8, "clean history first"
+        assert (scores[16:] < threshold).all(), "every attack window alarms"
+        return [
+            WindowRow(index=k, time=5.0 * (k + 1), monitor=0, features=X[k])
+            for k in range(len(X))
+        ]
+
+    def test_resume_mid_episode_matches_uninterrupted_run(self, manet, tmp_path):
+        model, threshold = manet
+        rows = self.rows(model, threshold)
+        clean = one_lane(model, threshold, rows)
+        clean.finish()
+
+        cut = 22  # six windows into the attack episode
+        first = one_lane(model, threshold, rows[:cut])
+        acts = first.snapshot()["lanes"][""]["attributor"]["recent_acts"]
+        assert acts, "the activity history must be live at the checkpoint"
+        for act in acts:
+            assert type(act) is dict
+            assert all(type(g) is str and type(v) is float for g, v in act.items())
+        ckpt = tmp_path / "mid-episode.ckpt"
+        save_fleet_checkpoint(ckpt, {"": cut}, first)
+
+        resumed = one_lane(model, threshold)
+        assert load_fleet_checkpoint(ckpt, resumed) == {"": cut}
+        assert resumed._attributors[""].snapshot() == \
+            first._attributors[""].snapshot()
+        feed(resumed, rows[cut:])
+        resumed.finish()
+        verdicts = [a.verdict for a in clean._lanes[""].alarms]
+        assert len(verdicts) >= len(rows) - 16
+        assert [a.verdict for a in resumed._lanes[""].alarms] == verdicts
