@@ -55,15 +55,20 @@ ATTACK_KINDS = ("flooding", "blackhole", "dropping", "impersonation")
 #: for trend-watching.
 ATTRIBUTION_ACCURACY_FLOOR = 0.75
 
+#: Streaming passes per attack cell and attribution setting; the
+#: recorded seconds are the fastest pass.
+TIMING_PASSES = 5
+
 
 def attribution_suite(quick: bool, seed: int = 41) -> dict:
     """Attribution overhead + attack-taxonomy accuracy, as a payload.
 
     For every attack kind × protocol cell it trains a per-protocol model
     on clean traces (two training seeds + one calibration seed) and
-    streams the attacked trace twice.  Baseline = attribution off,
-    optimized = on, so the recorded "speedup" is the verdict-annotation
-    overhead (expected below 1).
+    streams the attacked trace with attribution off and on, timing each
+    as the best of :data:`TIMING_PASSES` passes.  Baseline = attribution
+    off, optimized = on, so the recorded "speedup" is the
+    verdict-annotation overhead (expected below 1).
     """
     protocols = ("aodv",) if quick else ("aodv", "dsr")
     n_nodes = 12 if quick else 20
@@ -120,12 +125,18 @@ def attribution_suite(quick: bool, seed: int = 41) -> dict:
             ]
 
             def stream(attribution: bool):
-                online = OnlineDetector(
-                    model, threshold, method=method, attribution=attribution)
-                t0 = time.perf_counter()
-                for row in rows:
-                    online.consume(row)
-                return online, time.perf_counter() - t0
+                # Best of TIMING_PASSES over the same rows, a fresh
+                # detector per pass: one pass takes tens of milliseconds
+                # and a single timing of it is mostly noise.
+                best = float("inf")
+                for _ in range(TIMING_PASSES):
+                    online = OnlineDetector(
+                        model, threshold, method=method, attribution=attribution)
+                    t0 = time.perf_counter()
+                    for row in rows:
+                        online.consume(row)
+                    best = min(best, time.perf_counter() - t0)
+                return online, best
 
             off, off_s = stream(False)
             on, on_s = stream(True)

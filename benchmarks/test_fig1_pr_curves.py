@@ -14,6 +14,7 @@ are recorded in EXPERIMENTS.md.
 
 import pytest
 
+from repro.eval.experiments import evaluate_detector
 
 from benchmarks.conftest import CLASSIFIER_ORDER, RUNTIME, SCENARIOS, print_header
 
@@ -32,10 +33,10 @@ def test_figure1_recall_precision_curves(benchmark, all_results):
     # is shared session state).
     plan = SCENARIOS["aodv/udp"]
     bundle = RUNTIME.bundle(plan)
+    detector = RUNTIME.fitted_detector(plan, classifier="c45")
 
     def score_only():
-        from repro.eval.experiments import run_detection_experiment
-        return run_detection_experiment(bundle, classifier="c45")
+        return evaluate_detector(detector, bundle, "c45")
 
     benchmark.pedantic(score_only, rounds=1, iterations=1)
 

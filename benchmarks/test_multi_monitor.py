@@ -13,9 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.eval.experiments import per_monitor_results
-
-from benchmarks.conftest import BENCH_PLAN, print_header
+from benchmarks.conftest import BENCH_PLAN, RUNTIME, print_header
 
 PLAN = replace(BENCH_PLAN, protocol="aodv", transport="udp")
 MONITORS = (0, 5, 11)
@@ -23,7 +21,7 @@ MONITORS = (0, 5, 11)
 
 def test_other_monitor_nodes_verify_the_result(benchmark):
     results = benchmark.pedantic(
-        lambda: per_monitor_results(PLAN, MONITORS, classifier="c45"),
+        lambda: {m: RUNTIME.detect(replace(PLAN, monitor=m), "c45") for m in MONITORS},
         rounds=1, iterations=1,
     )
 

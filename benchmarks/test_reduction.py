@@ -11,13 +11,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.reduction import correlation_reduce, factor_reduce
-from repro.eval.experiments import run_detection_experiment
-from repro.ml import CLASSIFIERS
 from repro.core.model import CrossFeatureDetector
-from repro.eval.metrics import area_above_diagonal, precision_recall_curve
-
-import numpy as np
+from repro.core.reduction import correlation_reduce, factor_reduce
+from repro.eval.experiments import evaluate_detector
+from repro.ml import CLASSIFIERS
 
 from benchmarks.conftest import BENCH_PLAN, RUNTIME, print_header
 
@@ -33,9 +30,7 @@ def evaluate_subset(bundle, subset):
     t0 = time.perf_counter()
     detector.fit(bundle.train.X, calibration_X=bundle.calibration.X)
     train_time = time.perf_counter() - t0
-    scores, labels = bundle.eval_scores_labels(detector.score)
-    curve = precision_recall_curve(scores, labels)
-    return area_above_diagonal(curve), train_time
+    return evaluate_detector(detector, bundle, "c45").auc, train_time
 
 
 def test_model_reduction(benchmark):

@@ -38,11 +38,10 @@ from repro.eval.experiments import (
     ExperimentPlan,
     TraceBundle,
     four_scenarios,
-    run_detection_experiment,
 )
 from repro.features import FeatureDataset, extract_features
 from repro.ml import CLASSIFIERS, C45Classifier, NaiveBayesClassifier, RipperClassifier
-from repro.runtime import ArtifactCache, RuntimeMetrics, Session, TraceEvent, default_session
+from repro.runtime import ArtifactCache, RuntimeMetrics, Session, TraceEvent
 from repro.simulation import ScenarioConfig, SimulationTrace, run_scenario
 from repro.stream import (
     Alarm,
@@ -97,11 +96,9 @@ __all__ = [
     "Verdict",
     "average_match_count",
     "average_probability",
-    "default_session",
     "extract_features",
     "four_scenarios",
     "replay_trace",
-    "run_detection_experiment",
     "run_scenario",
     "select_threshold",
 ]

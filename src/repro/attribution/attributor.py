@@ -49,6 +49,7 @@ from repro.attribution.taxonomy import (
     fine_group,
     group_shares,
 )
+from repro.checks import check_int
 from repro.core.model import CrossFeatureModel
 
 __all__ = ["AlarmAttributor", "Verdict", "fuse_verdicts"]
@@ -136,9 +137,7 @@ class AlarmAttributor:
             ("residual_window", residual_window),
             ("residual_min_history", residual_min_history),
         ):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or not value >= 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+            check_int(name, value, 1)
         if residual_min_history > residual_window:
             # The row history could never reach the minimum: no activity
             # view and no residual flags, ever.

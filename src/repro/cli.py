@@ -352,7 +352,7 @@ def cmd_report(args: argparse.Namespace, plan, session) -> int:
 
     print("simulating traces and training all classifiers "
           "(this takes a few minutes) ...")
-    print(scenario_report(plan, session=session))
+    print(scenario_report(plan, session))
     print(f"runtime: {session.metrics.summary()}")
     _dump_metrics(session, args)
     return 0

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _check_n_buckets(n_buckets: int) -> None:
-    """Reject an ``n_buckets`` that is not an int >= 2 (NaN included)."""
-    if isinstance(n_buckets, bool) or not isinstance(n_buckets, (int, np.integer)) \
-            or not n_buckets >= 2:
-        raise ValueError(f"n_buckets must be an int >= 2, got {n_buckets!r}")
+from repro.checks import check_int
 
 
 class EqualFrequencyDiscretizer:
@@ -47,7 +42,7 @@ class EqualFrequencyDiscretizer:
         random_state: int = 0,
         out_of_range_bucket: bool = True,
     ):
-        _check_n_buckets(n_buckets)
+        check_int("n_buckets", n_buckets, 2)
         if prefilter_fraction is not None and not 0 < prefilter_fraction <= 1:
             raise ValueError("prefilter_fraction must be in (0, 1]")
         self.n_buckets = n_buckets

@@ -7,9 +7,9 @@
   and abnormal traces (Figures 3 and 5);
 * :mod:`repro.eval.density` — score density distributions (Figures 4
   and 6);
-* :mod:`repro.eval.experiments` — the end-to-end pipeline: simulate
-  traces, extract features, train a detector per scenario/classifier, and
-  score evaluation traces.
+* :mod:`repro.eval.experiments` — the test conditions and the pipeline
+  stages :class:`repro.Session` runs: extract features, train a detector
+  per scenario/classifier, and score evaluation traces.
 """
 
 from repro.eval.density import score_density
@@ -17,7 +17,6 @@ from repro.eval.experiments import (
     DetectionResult,
     ExperimentPlan,
     TraceBundle,
-    run_detection_experiment,
 )
 from repro.eval.metrics import (
     PrCurve,
@@ -36,6 +35,5 @@ __all__ = [
     "averaged_score_series",
     "optimal_point",
     "precision_recall_curve",
-    "run_detection_experiment",
     "score_density",
 ]

@@ -14,23 +14,24 @@ pipeline then mirrors the paper's setup:
   normal trace, and every evaluation trace scored window by window.
 
 Plans are frozen/hashable; simulation, caching and parallel execution
-live in :mod:`repro.runtime` — :class:`repro.runtime.Session` is the
-documented way to run this pipeline.  (The pre-Session module-level
-wrappers ``cached_bundle`` / ``cached_result`` / ``simulate_bundle``
-completed their deprecation cycle and were removed; importing them now
-raises :class:`ImportError` with the migration hint.)
+live in :mod:`repro.runtime`, and :class:`repro.runtime.Session` is the
+one way to run this pipeline: ``session.detect(plan)`` for one
+condition, ``session.detect(replace(plan, monitor=m))`` for the same
+condition seen from node ``m``.  The functions here are the stages a
+session times: :func:`extract_bundle`, :func:`fit_detector` and
+:func:`evaluate_detector`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from repro.attacks import BlackholeAttack, DropMode, PacketDroppingAttack, periodic_sessions
 from repro.attacks.base import Attack
+from repro.checks import check_int
 from repro.core.model import CrossFeatureDetector
 from repro.eval.metrics import PrCurve, area_above_diagonal, optimal_point, precision_recall_curve
 from repro.features.extraction import FeatureDataset, extract_features
@@ -75,13 +76,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         # Validate the node count before anything touches `self.attacker`
-        # (n_nodes - 1): a degenerate count would otherwise surface as a
+        # (n_nodes - 1): a condition needs a monitor and a distinct
+        # attacker, and a degenerate count would otherwise surface as a
         # confusing monitor/attacker clash or pass straight through.
-        if self.n_nodes < 2:
-            raise ValueError(
-                f"n_nodes must be >= 2 (got {self.n_nodes}): a condition "
-                "needs at least a monitor and a distinct attacker"
-            )
+        check_int("n_nodes", self.n_nodes, 2)
         # Negated comparisons, so NaN fails them too: a bad plan fails
         # here, before any trace is simulated.
         if not 0 < self.duration < math.inf:
@@ -93,10 +91,7 @@ class ExperimentPlan:
         # as lists are stored as tuples to keep it hashable.
         for name in ("train_seeds", "normal_seeds", "attack_seeds", "periods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not 0 <= self.monitor < self.n_nodes:
-            raise ValueError(
-                f"monitor must be in [0, {self.n_nodes}), got {self.monitor!r}"
-            )
+        check_int("monitor", self.monitor, 0, self.n_nodes - 1)
         if self.monitor == self.attacker:
             raise ValueError("monitor must differ from the attacker")
         if self.attack_kind not in ATTACK_KINDS:
@@ -181,14 +176,6 @@ class TraceBundle:
     normal_evals: list[FeatureDataset]
     abnormal_evals: list[FeatureDataset]
 
-    def eval_scores_labels(self, score_fn) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (scores, labels) across all evaluation traces."""
-        scores, labels = [], []
-        for ds in [*self.normal_evals, *self.abnormal_evals]:
-            scores.append(score_fn(ds.X))
-            labels.append(ds.labels)
-        return np.concatenate(scores), np.concatenate(labels)
-
 
 @dataclass
 class RawTraces:
@@ -226,40 +213,21 @@ def plan_sim_key(plan: ExperimentPlan) -> ExperimentPlan:
     )
 
 
-def simulate_raw_traces(
-    plan: ExperimentPlan,
-    jobs: int = 1,
-    metrics=None,
-) -> RawTraces:
-    """Run all simulations of a test condition (no feature extraction).
+def extract_bundle(raw: RawTraces) -> TraceBundle:
+    """Extract the feature datasets of a test condition at its plan's monitor.
 
-    Always simulates fresh (no artifact cache); pass ``jobs > 1`` to fan
-    the independent traces out across worker processes.  Prefer
-    :meth:`repro.Session.raw_traces` to also get persistent caching.
-    """
-    from repro.runtime.executor import TraceExecutor
-    from repro.runtime.session import _assemble_raw, _plan_tasks
-
-    executor = TraceExecutor(jobs=jobs, metrics=metrics)
-    return _assemble_raw(plan, executor.run(_plan_tasks(plan)))
-
-
-def extract_bundle(raw: RawTraces, monitor: int | None = None) -> TraceBundle:
-    """Extract the feature datasets of a test condition for one monitor.
-
-    ``monitor`` defaults to the plan's; pass another node id to re-analyse
-    the same traces from a different observation point (the paper verified
-    "similar results and performance ... on other nodes").
+    To re-analyse the same traces from another observation point (the
+    paper verified "similar results and performance ... on other
+    nodes"), extract the traces of ``replace(plan, monitor=m)``: plans
+    that differ only in their monitor share their simulations (see
+    :func:`plan_sim_key`).
     """
     plan = raw.plan
-    monitor = plan.monitor if monitor is None else monitor
-    if monitor == plan.attacker:
-        raise ValueError("monitor must differ from the attacker")
 
     def dataset(trace) -> FeatureDataset:
         return extract_features(
             trace,
-            monitor=monitor,
+            monitor=plan.monitor,
             periods=plan.periods,
             warmup=plan.warmup,
             label_policy=plan.label_policy,
@@ -313,7 +281,6 @@ def fit_detector(
     false_alarm_rate: float = 0.02,
     max_models: int | None = None,
     n_buckets: int = 5,
-    n_jobs: int | None = 1,
 ) -> CrossFeatureDetector:
     """Build the detector, train it on the bundle's normal traces and
     calibrate its threshold on the held-out calibration trace.
@@ -321,9 +288,6 @@ def fit_detector(
     ``method`` defaults to the reproduction's calibrated scoring (see
     :mod:`repro.core.model`); pass ``"avg_probability"`` /
     ``"match_count"`` for the paper's verbatim Algorithms 3 / 2.
-    ``n_jobs`` threads the L independent sub-model fits and scoring
-    passes (``None``/``0`` = one per CPU); results are identical for
-    any value.
     """
     check_classifier(classifier)
     detector = CrossFeatureDetector(
@@ -332,7 +296,6 @@ def fit_detector(
         false_alarm_rate=false_alarm_rate,
         max_models=max_models,
         n_buckets=n_buckets,
-        n_jobs=n_jobs,
     )
     return detector.fit(
         bundle.train.X,
@@ -370,84 +333,6 @@ def evaluate_detector(
         labels=labels,
         series=series,
     )
-
-
-def run_detection_experiment(
-    bundle: TraceBundle,
-    classifier: str = "c45",
-    method: str = "calibrated_probability",
-    false_alarm_rate: float = 0.02,
-    max_models: int | None = None,
-    n_buckets: int = 5,
-    n_jobs: int | None = 1,
-) -> DetectionResult:
-    """Train the detector on the bundle's normal traces and evaluate it
-    (:func:`fit_detector`, then :func:`evaluate_detector`)."""
-    detector = fit_detector(
-        bundle, classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs
-    )
-    return evaluate_detector(detector, bundle, classifier)
-
-
-# ----------------------------------------------------------------------
-# Pipeline helpers over the process-wide default Session.
-# ----------------------------------------------------------------------
-def _default_session():
-    from repro.runtime.session import default_session
-
-    return default_session()
-
-
-#: The pre-Session wrappers, removed at the end of their deprecation
-#: cycle; importing one raises ImportError naming the Session replacement.
-_REMOVED_HELPERS = {
-    "simulate_bundle": "Session().bundle(plan)",
-    "cached_bundle": "Session().bundle(plan)",
-    "cached_result": "Session().detect(plan, ...)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED_HELPERS:
-        raise ImportError(
-            f"repro.eval.experiments.{name}() was removed; create a "
-            f"repro.Session and use {_REMOVED_HELPERS[name]} instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def cached_raw_traces(plan: ExperimentPlan) -> RawTraces:
-    """Raw traces via the default session (shared across extraction knobs).
-
-    The non-deprecated low-level alias; plans differing only in
-    periods/warmup/labels/monitor share simulations (see
-    :func:`plan_sim_key`).
-    """
-    return _default_session().raw_traces(plan)
-
-
-def per_monitor_results(
-    plan: ExperimentPlan,
-    monitors: Sequence[int],
-    classifier: str = "c45",
-    method: str = "calibrated_probability",
-) -> dict[int, DetectionResult]:
-    """Repeat the detection experiment from several observation points.
-
-    The paper collects all reported results "on one node only" and notes
-    that "similar results and performance have been verified on other
-    nodes"; this helper reproduces that verification.  The expensive
-    simulations are shared — only feature extraction and sub-model
-    training repeat per monitor.
-    """
-    raw = _default_session().raw_traces(plan)
-    results = {}
-    for monitor in monitors:
-        bundle = extract_bundle(raw, monitor=monitor)
-        results[monitor] = run_detection_experiment(
-            bundle, classifier=classifier, method=method
-        )
-    return results
 
 
 def four_scenarios(base: ExperimentPlan | None = None) -> dict[str, ExperimentPlan]:

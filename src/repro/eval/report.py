@@ -8,13 +8,12 @@ the calibrated-threshold operating point.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.eval.experiments import (
-    DetectionResult,
-    ExperimentPlan,
-    run_detection_experiment,
-)
+from repro.eval.experiments import DetectionResult, ExperimentPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.session import Session
 
 _HEADER = f"{'classifier':12s} {'AUC':>7s} {'optimal (r, p)':>16s} {'@threshold (r, p)':>19s}"
 
@@ -46,24 +45,19 @@ def format_detection_report(
 
 def scenario_report(
     plan: ExperimentPlan,
+    session: "Session",
     classifiers: Sequence[str] = ("c45", "ripper", "nbc"),
     method: str = "calibrated_probability",
-    session=None,
 ) -> str:
     """Run the detection experiment for each classifier and format it.
 
-    Simulations are shared across classifiers via the session's caches,
-    so the added cost per classifier is sub-model training only.  Pass a
-    :class:`repro.Session` to control parallelism and cache placement;
-    the process-wide default session is used otherwise.
+    Each classifier is one :meth:`~repro.runtime.Session.detect` call:
+    the traces are simulated and extracted once for all of them, each
+    fit and its scoring are timed as the session's ``fit`` and ``score``
+    stages, and the results stay memoised in the session.
     """
-    from repro.runtime.session import default_session
-
-    if session is None:
-        session = default_session()
-    bundle = session.bundle(plan)
     results = {
-        name: run_detection_experiment(bundle, classifier=name, method=method)
+        name: session.detect(plan, classifier=name, method=method)
         for name in classifiers
     }
     title = (

@@ -46,7 +46,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.runtime.metrics import RuntimeMetrics, TraceEvent
-from repro.runtime.session import Session, default_session, set_default_session
+from repro.runtime.session import Session
 
 __all__ = [
     "ArtifactCache",
@@ -65,7 +65,5 @@ __all__ = [
     "TraceTask",
     "code_version",
     "default_cache_dir",
-    "default_session",
-    "set_default_session",
     "stable_key",
 ]

@@ -20,12 +20,12 @@ Usage::
     bundle = session.bundle(ExperimentPlan(protocol="aodv"))
     result = session.detect(ExperimentPlan(protocol="dsr"), classifier="c45")
     results = session.sweep(four_scenarios())          # shares one fan-out
+    other = session.detect(replace(plan, monitor=3))   # same traces, node 3
     stream = session.stream_detect(plan)               # one live monitor
     fleet = session.fleet_detect(plan, quorum=2)       # every node, fused
 
-The pre-Session module-level helpers (``cached_bundle`` /
-``cached_result`` / ``simulate_bundle``) have been removed; importing
-them raises :class:`ImportError` with the migration hint.
+A session is the only way to run a detection experiment: there is no
+process-wide default session and no module-level pipeline helper.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from repro.checks import check_int
 from repro.eval.experiments import (
     DetectionResult,
     ExperimentPlan,
@@ -152,8 +153,7 @@ def _stream_lanes(
     if not monitors:
         raise ValueError("monitors is empty: name at least one node to watch")
     for k, m in enumerate(monitors):
-        if not 0 <= m < plan.n_nodes:
-            raise ValueError(f"monitor {m} is out of range for {plan.n_nodes} nodes")
+        check_int("monitor", m, 0, plan.n_nodes - 1)
         if m == plan.attacker:
             raise ValueError(f"monitor {m} must differ from the attacker")
         if m in monitors[:k]:
@@ -203,9 +203,7 @@ class Session:
         max_retries: int = 2,
         faults: FaultPlan | None = None,
     ):
-        if jobs is not None and not jobs >= 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-        self.jobs = _env_jobs() if jobs is None else int(jobs)
+        self.jobs = _env_jobs() if jobs is None else check_int("jobs", jobs, 1)
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.policy = SupervisionPolicy(max_retries=max_retries, task_timeout=task_timeout)
         self.faults = faults
@@ -347,8 +345,10 @@ class Session:
         """All simulated traces of a test condition (no feature extraction).
 
         Traces are shared across plans that differ only in extraction
-        knobs (periods, warmup, labels, monitor), exactly like the legacy
-        ``cached_raw_traces``.
+        knobs (periods, warmup, labels, monitor; see
+        :func:`~repro.eval.experiments.plan_sim_key`), so one attack can
+        be re-extracted from any node with
+        :func:`~repro.features.extract_features`.
         """
         sim_key = plan_sim_key(plan)
         if sim_key not in self._raw:
@@ -362,18 +362,13 @@ class Session:
             abnormal_evals=raw.abnormal_evals,
         )
 
-    def bundle(self, plan: ExperimentPlan, monitor: int | None = None) -> TraceBundle:
+    def bundle(self, plan: ExperimentPlan) -> TraceBundle:
         """Feature datasets of a test condition (simulate + extract).
 
-        ``monitor`` overrides the plan's observation point without
-        re-simulating (multi-monitor analyses); only the plan-default
-        monitor is memoised.
+        ``replace(plan, monitor=m)`` observes the same traces from node
+        ``m`` without re-simulating them (a selective-dropping plan is
+        the exception: its attack targets the monitor).
         """
-        if monitor is not None and monitor != plan.monitor:
-            raw = self.raw_traces(plan)
-            with self._stage("extract"):
-                bundle = extract_bundle(raw, monitor=monitor)
-            return bundle
         if plan not in self._bundles:
             raw = self.raw_traces(plan)
             with self._stage("extract"):
@@ -388,22 +383,16 @@ class Session:
         false_alarm_rate: float = 0.02,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
     ) -> DetectionResult:
         """Full detection experiment on one plan (memoised per knob set).
 
         Scores the evaluation traces with the detector
         :meth:`fitted_detector` returns for the same knobs, timed as the
         ``score`` stage (the precision/recall curve included).
-        ``n_jobs`` threads the independent sub-model fits and scoring
-        passes; it is deliberately absent from the memoisation key
-        because results are identical for any value.
         """
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._results:
-            detector = self.fitted_detector(
-                plan, classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs
-            )
+            detector = self.fitted_detector(*key)
             bundle = self.bundle(plan)
             with self._stage("score"):
                 self._results[key] = evaluate_detector(detector, bundle, classifier)
@@ -417,7 +406,6 @@ class Session:
         false_alarm_rate: float = 0.02,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
     ) -> "CrossFeatureDetector":
         """A trained + calibrated detector for one plan (memoised per knob set).
 
@@ -425,19 +413,14 @@ class Session:
         threshold on its held-out calibration trace
         (:func:`~repro.eval.experiments.fit_detector`, timed as the
         ``fit`` stage); :meth:`detect` scores this same detector.  An
-        unknown ``classifier`` fails before any simulation.  ``n_jobs``
-        is excluded from the memo key; results are identical for any
-        value.
+        unknown ``classifier`` fails before any simulation.
         """
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._detectors:
             check_classifier(classifier)
             bundle = self.bundle(plan)
             with self._stage("fit"):
-                self._detectors[key] = fit_detector(
-                    bundle, classifier, method, false_alarm_rate, max_models,
-                    n_buckets, n_jobs,
-                )
+                self._detectors[key] = fit_detector(bundle, *key[1:])
         return self._detectors[key]
 
     def stream_detect(
@@ -453,7 +436,6 @@ class Session:
         threshold: float | None = None,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
         on_alarm: "Callable[[Alarm], None] | None" = None,
         row_policy: str | None = None,
         attribution: bool = False,
@@ -499,10 +481,11 @@ class Session:
             checkpoints are fleet files and fault clauses name the lane
             ``s0/n<monitor>``.
         """
-        monitor = plan.monitor if monitor is None else int(monitor)
+        if monitor is None:
+            monitor = plan.monitor
         result = self._detect_streams(
             plan, "stream",
-            (classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs),
+            (classifier, method, false_alarm_rate, max_models, n_buckets),
             seeds=None if seed is None else (seed,), monitors=(monitor,),
             attack=attack, warmup=warmup, threshold=threshold,
             on_alarm=on_alarm, on_fused=None, checkpoint=checkpoint,
@@ -526,7 +509,6 @@ class Session:
         quorum: int | float = 1,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
         on_alarm: "Callable[[Alarm], None] | None" = None,
         on_fused: "Callable[[FleetAlarm], None] | None" = None,
         row_policy: str | None = None,
@@ -603,7 +585,7 @@ class Session:
         """
         return self._detect_streams(
             plan, "fleet",
-            (classifier, method, false_alarm_rate, max_models, n_buckets, n_jobs),
+            (classifier, method, false_alarm_rate, max_models, n_buckets),
             seeds=seeds, monitors=monitors, attack=attack, warmup=warmup,
             threshold=threshold, on_alarm=on_alarm, on_fused=on_fused,
             checkpoint=checkpoint, checkpoint_every=checkpoint_every,
@@ -804,23 +786,3 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover
         where = str(self.cache.dir) if self.cache is not None else "disabled"
         return f"Session(jobs={self.jobs}, cache={where!r})"
-
-
-# ----------------------------------------------------------------------
-# Process-wide default session (backs the legacy module-level helpers).
-# ----------------------------------------------------------------------
-_default_session: Session | None = None
-
-
-def default_session() -> Session:
-    """The lazily-created session behind the legacy module-level API."""
-    global _default_session
-    if _default_session is None:
-        _default_session = Session()
-    return _default_session
-
-
-def set_default_session(session: Session | None) -> None:
-    """Replace (or with ``None``, reset) the process-wide default session."""
-    global _default_session
-    _default_session = session

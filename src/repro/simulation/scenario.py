@@ -19,6 +19,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.checks import check_int
 from repro.simulation.engine import Simulator
 from repro.simulation.medium import WirelessMedium
 from repro.simulation.mobility import MIN_SPEED, RandomWaypointMobility
@@ -68,8 +69,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown protocol: {self.protocol!r}")
         if self.transport not in ("udp", "tcp"):
             raise ValueError(f"unknown transport: {self.transport!r}")
-        if self.n_nodes < 2:
-            raise ValueError("need at least 2 nodes")
+        for name, low in (("n_nodes", 2), ("max_connections", 0), ("packet_size", 1)):
+            check_int(name, getattr(self, name), low)
         # Negated comparisons, so NaN fails them too.
         if len(self.area) != 2 or not all(0 < side < math.inf for side in self.area):
             raise ValueError(f"area must be a pair of positive, finite sides, got {self.area!r}")
@@ -82,10 +83,6 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-        for name, low in (("max_connections", 0), ("packet_size", 1)):
-            value = getattr(self, name)
-            if not value >= low:
-                raise ValueError(f"{name} must be at least {low}, got {value!r}")
         if not MIN_SPEED <= self.max_speed < math.inf:
             raise ValueError(
                 f"max_speed must be finite and at least the mobility model's "

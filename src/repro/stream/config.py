@@ -69,8 +69,8 @@ introspection):
     (default) waits indefinitely — the historical behaviour.
 
 The detector-training knobs (``classifier`` / ``method`` /
-``false_alarm_rate`` / ``max_models`` / ``n_buckets`` / ``n_jobs``)
-follow :meth:`repro.runtime.Session.fitted_detector` unchanged.
+``false_alarm_rate`` / ``max_models`` / ``n_buckets``) follow
+:meth:`repro.runtime.Session.fitted_detector` unchanged.
 Durable-run knobs (``checkpoint`` / ``checkpoint_every`` /
 ``resume_from``) are documented in :mod:`repro.stream.durability`.
 """
@@ -78,6 +78,8 @@ Durable-run knobs (``checkpoint`` / ``checkpoint_every`` /
 from __future__ import annotations
 
 import math
+
+from repro.checks import check_int
 
 #: Default observed node for single-stream detection.
 DEFAULT_MONITOR = 0
@@ -146,10 +148,7 @@ def validate_checkpoint_every(checkpoint_every: int | None) -> int:
     is :data:`DEFAULT_CHECKPOINT_EVERY`)."""
     if checkpoint_every is None:
         return DEFAULT_CHECKPOINT_EVERY
-    if isinstance(checkpoint_every, bool) or not isinstance(checkpoint_every, int) \
-            or checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be an int >= 1, got {checkpoint_every!r}")
-    return checkpoint_every
+    return check_int("checkpoint_every", checkpoint_every, 1)
 
 
 def resolve_threshold(detector, threshold: float | None) -> float:

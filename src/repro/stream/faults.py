@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.checks import check_int
 from repro.stream.extractor import WindowRow
 
 #: Row-level injected fault kinds.
@@ -81,9 +82,7 @@ class StreamFaultSpec:
     def __post_init__(self):
         if self.kind not in ROW_KINDS + LANE_KINDS + CKPT_KINDS:
             raise ValueError(f"unknown stream-fault kind {self.kind!r}")
-        if not isinstance(self.index, int) or isinstance(self.index, bool) \
-                or self.index < 0:
-            raise ValueError(f"fault index must be an int >= 0, got {self.index!r}")
+        check_int("index", self.index, 0)
         if self.kind in CKPT_KINDS and self.lane != "*":
             raise ValueError(
                 f"{self.kind} faults are keyed by restore ordinal only, "

@@ -69,6 +69,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.attribution import AlarmAttributor, Verdict, fuse_verdicts
+from repro.checks import check_int
 from repro.core.model import SCORING_METHODS, CrossFeatureDetector, CrossFeatureModel
 from repro.features.traffic import DEFAULT_SAMPLING_PERIODS
 from repro.stream.config import (
@@ -357,10 +358,7 @@ class FleetDetector:
         validate_threshold(threshold)
         if method not in SCORING_METHODS:
             raise ValueError(f"method must be one of {SCORING_METHODS}, got {method!r}")
-        if not (isinstance(max_consecutive_faults, int) and max_consecutive_faults >= 0):
-            raise ValueError(
-                f"max_consecutive_faults must be an int >= 0, got {max_consecutive_faults!r}"
-            )
+        check_int("max_consecutive_faults", max_consecutive_faults, 0)
         self.model = model
         self.threshold = float(threshold)
         self.method = method

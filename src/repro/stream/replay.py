@@ -31,6 +31,7 @@ from itertools import chain
 
 import numpy as np
 
+from repro.checks import check_int
 from repro.simulation.packet import Direction, PacketType
 from repro.simulation.scenario import SimulationTrace
 from repro.simulation.stats import RouteEventKind
@@ -82,12 +83,7 @@ class ReplayCursor:
         feeds = [times for _, times in packet_feeds + route_feeds]
         feeds += [[t for t, _ in samples], trace.tick_times]
         flat = list(chain.from_iterable(feeds))
-        if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)) \
-                or not 0 <= skip <= len(flat):
-            raise ValueError(
-                f"skip must be an int from 0 to the trace's {len(flat)} items, "
-                f"got {skip!r}"
-            )
+        check_int("skip", skip, 0, len(flat))
         codes = np.repeat(np.arange(len(feeds)), [len(f) for f in feeds])
         # Ticks are concatenated last, so the stable sort puts each one
         # after every event sharing its timestamp.

@@ -21,17 +21,13 @@ from repro.simulation.scenario import ScenarioConfig, SimulationTrace, run_scena
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_artifact_cache(tmp_path_factory):
     """Point the default artifact cache at a throwaway directory."""
-    from repro.runtime.session import set_default_session
-
     previous = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("artifact-cache"))
-    set_default_session(None)  # drop any session built against the old dir
     yield
     if previous is None:
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
-    set_default_session(None)
 
 
 def small_config(**overrides) -> ScenarioConfig:

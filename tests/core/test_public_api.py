@@ -20,21 +20,23 @@ class TestTopLevelApi:
 
     def test_readme_quickstart_symbols(self):
         """The objects the README's quickstart uses are all exported."""
-        for name in ("ExperimentPlan", "Session", "run_detection_experiment",
-                     "CrossFeatureDetector", "extract_features", "run_scenario",
-                     "ScenarioConfig", "RuntimeMetrics"):
+        for name in ("ExperimentPlan", "Session", "CrossFeatureDetector",
+                     "extract_features", "run_scenario", "ScenarioConfig",
+                     "RuntimeMetrics"):
             assert name in repro.__all__, name
 
-    def test_legacy_helpers_removed_with_migration_hint(self):
-        """The pre-Session wrappers are gone from the top level, and the
-        ImportError from their old home names the Session replacement."""
-        for name in ("cached_bundle", "cached_result", "simulate_bundle"):
-            assert name not in repro.__all__, name
-            assert not hasattr(repro, name), name
+    def test_session_is_the_only_pipeline_path(self):
+        """No module-level pipeline helper or process-wide default session
+        is left beside :class:`Session`."""
+        import repro.eval as eval_pkg
         import repro.eval.experiments as experiments
+        import repro.runtime as runtime
 
-        with pytest.raises(ImportError, match="Session"):
-            experiments.cached_result
+        for name in ("default_session", "set_default_session", "run_detection_experiment",
+                     "cached_raw_traces", "per_monitor_results", "simulate_raw_traces",
+                     "cached_bundle", "cached_result", "simulate_bundle"):
+            for module in (repro, runtime, eval_pkg, experiments):
+                assert not hasattr(module, name), (module.__name__, name)
 
     def test_classifier_registry_complete(self):
         assert set(repro.CLASSIFIERS) == {"c45", "ripper", "nbc"}
@@ -88,11 +90,9 @@ class TestTopLevelApi:
             "Verdict",
             "average_match_count",
             "average_probability",
-            "default_session",
             "extract_features",
             "four_scenarios",
             "replay_trace",
-            "run_detection_experiment",
             "run_scenario",
             "select_threshold",
         ]
@@ -157,12 +157,27 @@ class TestTopLevelApi:
             "TraceTask",
             "code_version",
             "default_cache_dir",
-            "default_session",
-            "set_default_session",
             "stable_key",
         ]
         for name in runtime.__all__:
             assert hasattr(runtime, name), name
+
+    def test_eval_import_surface_is_exact(self):
+        import repro.eval as eval_pkg
+
+        assert eval_pkg.__all__ == [
+            "DetectionResult",
+            "ExperimentPlan",
+            "PrCurve",
+            "TraceBundle",
+            "area_above_diagonal",
+            "averaged_score_series",
+            "optimal_point",
+            "precision_recall_curve",
+            "score_density",
+        ]
+        for name in eval_pkg.__all__:
+            assert hasattr(eval_pkg, name), name
 
     def test_subpackage_apis(self):
         from repro.attacks import (BlackholeAttack, ImpersonationAttack,

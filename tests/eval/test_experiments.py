@@ -6,11 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.eval.experiments import (
-    ExperimentPlan,
-    four_scenarios,
-    run_detection_experiment,
-)
+from repro.eval.experiments import ExperimentPlan, four_scenarios
 from repro.runtime import Session
 
 SMALL_PLAN = ExperimentPlan(
@@ -27,8 +23,13 @@ SMALL_PLAN = ExperimentPlan(
 
 
 @pytest.fixture(scope="module")
-def small_bundle():
-    return Session().bundle(SMALL_PLAN)
+def small_session():
+    return Session()
+
+
+@pytest.fixture(scope="module")
+def small_bundle(small_session):
+    return small_session.bundle(SMALL_PLAN)
 
 
 class TestPlan:
@@ -117,8 +118,8 @@ class TestBundle:
 
 
 class TestDetectionExperiment:
-    def test_result_invariants(self, small_bundle):
-        result = run_detection_experiment(small_bundle, classifier="nbc")
+    def test_result_invariants(self, small_session):
+        result = small_session.detect(SMALL_PLAN, classifier="nbc")
         assert len(result.scores) == len(result.labels)
         assert result.labels.any() and not result.labels.all()
         assert -0.5 <= result.auc <= 0.5
@@ -126,17 +127,17 @@ class TestDetectionExperiment:
         assert 0 <= r <= 1 and 0 <= p <= 1
         assert len(result.series) == 2
 
-    def test_unknown_classifier_rejected(self, small_bundle):
+    def test_unknown_classifier_rejected(self, small_session):
         with pytest.raises(ValueError):
-            run_detection_experiment(small_bundle, classifier="svm")
+            small_session.detect(SMALL_PLAN, classifier="svm")
 
-    def test_paper_methods_also_run(self, small_bundle):
+    def test_paper_methods_also_run(self, small_session):
         for method in ("avg_probability", "match_count"):
-            result = run_detection_experiment(
-                small_bundle, classifier="nbc", method=method
-            )
+            result = small_session.detect(SMALL_PLAN, classifier="nbc", method=method)
             assert np.isfinite(result.scores).all()
 
-    def test_max_models_reduces_ensemble(self, small_bundle):
-        result = run_detection_experiment(small_bundle, classifier="nbc", max_models=10)
+    def test_max_models_reduces_ensemble(self, small_session):
+        detector = small_session.fitted_detector(SMALL_PLAN, classifier="nbc", max_models=10)
+        assert detector.model.n_models == 10
+        result = small_session.detect(SMALL_PLAN, classifier="nbc", max_models=10)
         assert np.isfinite(result.scores).all()

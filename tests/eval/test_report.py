@@ -6,6 +6,7 @@ import pytest
 from repro.eval.experiments import DetectionResult, ExperimentPlan
 from repro.eval.metrics import PrCurve
 from repro.eval.report import format_detection_report, format_result_row, scenario_report
+from repro.runtime import RuntimeMetrics, Session, TraceEvent
 
 
 def fake_result(auc=0.42, optimal=(0.9, 0.95, 0.5)):
@@ -46,13 +47,27 @@ class TestFormatting:
         assert report.splitlines()[0].startswith("classifier")
 
 
+SMALL_PLAN = ExperimentPlan(
+    n_nodes=10, duration=250.0, max_connections=15,
+    train_seeds=(1,), calibration_seed=2, normal_seeds=(3,),
+    attack_seeds=(4,), warmup=50.0, periods=(5.0, 60.0),
+)
+
+
 class TestScenarioReport:
     def test_end_to_end_small(self):
-        plan = ExperimentPlan(
-            n_nodes=10, duration=250.0, max_connections=15,
-            train_seeds=(1,), calibration_seed=2, normal_seeds=(3,),
-            attack_seeds=(4,), warmup=50.0, periods=(5.0, 60.0),
-        )
-        report = scenario_report(plan, classifiers=("nbc",))
+        report = scenario_report(SMALL_PLAN, Session(), classifiers=("nbc",))
         assert "AODV/UDP" in report
         assert "nbc" in report
+
+    def test_fits_are_timed_and_memoised_in_the_session(self):
+        events: list[TraceEvent] = []
+        session = Session(metrics=RuntimeMetrics(on_event=events.append))
+        report = scenario_report(SMALL_PLAN, session, classifiers=("nbc",))
+        assert session.metrics.stage_seconds.keys() >= {"fit", "score"}
+        fits = [e for e in events if e.kind == "stage" and e.label == "fit"]
+        assert len(fits) == 1
+
+        result = session.detect(SMALL_PLAN, "nbc")
+        assert [e for e in events if e.kind == "stage" and e.label == "fit"] == fits
+        assert format_result_row("nbc", result) in report.splitlines()

@@ -1,4 +1,4 @@
-"""Session facade: caching round-trips, determinism, sweeps, legacy API."""
+"""Session facade: caching round-trips, determinism, sweeps, validation."""
 
 from __future__ import annotations
 
@@ -189,9 +189,11 @@ class TestSessionSharing:
         assert len(Session(cache=False).bundle(listed).abnormal_evals) == 1
 
     def test_monitor_override_does_not_resimulate(self, tmp_path):
+        from dataclasses import replace
+
         session = Session(cache_dir=tmp_path)
         b0 = session.bundle(TINY_PLAN)
-        b2 = session.bundle(TINY_PLAN, monitor=2)
+        b2 = session.bundle(replace(TINY_PLAN, monitor=2))
         assert session.metrics.simulations == N_TRACES
         assert b2.train.monitor == 2
         assert b0.train.monitor == TINY_PLAN.monitor
@@ -232,36 +234,6 @@ class TestMetricsHook:
         assert any("attack" in e.label for e in simulated)
 
 
-class TestRemovedLegacyWrappers:
-    """The pre-Session helpers are gone; importing them names the migration."""
-
-    @pytest.mark.parametrize("name", ["cached_bundle", "cached_result",
-                                      "simulate_bundle"])
-    def test_removed_helper_import_names_the_replacement(self, name):
-        import repro.eval.experiments as experiments
-
-        with pytest.raises(ImportError, match="Session"):
-            getattr(experiments, name)
-
-    def test_from_import_raises_import_error_too(self):
-        with pytest.raises(ImportError, match="Session"):
-            from repro.eval.experiments import cached_bundle  # noqa: F401
-
-    def test_unknown_attribute_still_raises_attribute_error(self):
-        import repro.eval.experiments as experiments
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            experiments.not_a_helper
-
-    def test_surviving_helpers_share_the_default_session(self):
-        from repro.eval.experiments import cached_raw_traces
-        from repro.runtime import default_session
-
-        raw = cached_raw_traces(TINY_PLAN)
-        again = default_session().raw_traces(TINY_PLAN)
-        assert raw.train[0] is again.train[0]  # same memoised simulations
-
-
 NAN, INF = float("nan"), float("inf")
 
 #: (entry point given a scratch directory, the field its ValueError must name).
@@ -279,6 +251,12 @@ BAD_RUNTIME_VALUES = [
     (lambda d: ArtifactCache(d, max_bytes=NAN), "max_bytes"),
     (lambda d: Session(cache_dir=d, jobs=0), "jobs"),
     (lambda d: Session(cache_dir=d, jobs=-2), "jobs"),
+    (lambda d: Session(cache_dir=d, jobs=2.5), "jobs"),
+    (lambda d: Session(cache_dir=d, jobs=NAN), "jobs"),
+    (lambda d: Session(cache_dir=d, jobs=True), "jobs"),
+    (lambda d: ExperimentPlan(n_nodes=6.5), "n_nodes"),
+    (lambda d: ExperimentPlan(n_nodes=NAN), "n_nodes"),
+    (lambda d: ExperimentPlan(monitor=1.5), "monitor"),
     (lambda d: Session(cache_dir=d, jobs=2, task_timeout=NAN), "task_timeout"),
     (lambda d: Session(cache_dir=d, max_entries=0), "max_entries"),
 ]
@@ -300,6 +278,7 @@ class TestEntryPointValidation:
         policy = SupervisionPolicy(max_retries=0, backoff_base=0.0, max_pool_respawns=0)
         assert policy.backoff(3) == 0.0
         assert Session(cache=False, jobs=1).jobs == 1
+        assert type(Session(cache=False, jobs=np.int64(2)).jobs) is int
 
 
 class TestRuntimeConfiguration:
@@ -400,7 +379,11 @@ class TestStreamLaneValidation:
         self.rejects("monitors is empty", monitors=())
 
     def test_out_of_range_monitor_rejected(self):
-        self.rejects("monitor 6 is out of range", monitors=(0, 6))
+        self.rejects("monitor must be an int from 0 to 5, got 6", monitors=(0, 6))
+
+    def test_non_int_monitor_rejected(self):
+        self.rejects("monitor must be an int", monitors=(0, 1.5))
+        self.rejects("monitor must be an int", detect="stream_detect", monitor=2.5)
 
     def test_duplicate_monitor_rejected(self):
         self.rejects("monitor 2 is listed twice", monitors=(2, 1, 2))

@@ -52,6 +52,9 @@ class TestConfigValidation:
             (1000.0,), (1000.0, 1000.0, 1000.0),
         )],
         ("max_connections", -3), ("packet_size", -1), ("packet_size", 0),
+        *[(name, bad)
+          for name in ("n_nodes", "max_connections", "packet_size")
+          for bad in (math.nan, math.inf, 6.5, 8.0, True)],
     ])
     def test_bad_numeric_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -61,6 +64,7 @@ class TestConfigValidation:
         ("loss_rate", 0.0), ("loss_rate", 1.0), ("max_speed", 0.5),
         ("pause_time", 0.0), ("pause_time", 1e9), ("tx_range", 1e-3),
         ("max_connections", 0), ("traffic_start_window", 0.0),
+        ("n_nodes", 2), ("n_nodes", np.int64(7)), ("packet_size", 1),
     ])
     def test_edge_of_range_accepted(self, field, value):
         assert getattr(ScenarioConfig(**{field: value}), field) == value

@@ -312,5 +312,5 @@ class TestConstructionSymmetry:
         for fn in (Session.stream_detect, Session.fleet_detect):
             params = self.params(fn)
             for knob in ("classifier", "method", "false_alarm_rate",
-                         "max_models", "n_buckets", "n_jobs"):
+                         "max_models", "n_buckets"):
                 assert params[knob].default == reference[knob].default, (fn, knob)

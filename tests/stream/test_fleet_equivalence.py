@@ -24,7 +24,7 @@ def fitted(aodv_udp_trace, dsr_udp_trace):
     from repro.core.model import CrossFeatureDetector
 
     train = extract_features(aodv_udp_trace, monitor=0)
-    detector = CrossFeatureDetector(n_jobs=1)
+    detector = CrossFeatureDetector()
     detector.fit(
         train.X,
         feature_names=train.feature_names,

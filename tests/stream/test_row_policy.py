@@ -86,6 +86,8 @@ BAD_CONSTRUCTIONS = [
      "max_consecutive_faults"),
     (lambda: FleetDetector(MODEL, 0.5, max_consecutive_faults=NAN),
      "max_consecutive_faults"),
+    (lambda: FleetDetector(MODEL, 0.5, max_consecutive_faults=True),
+     "max_consecutive_faults"),
     (lambda: FleetDetector(MODEL, 0.5, method="bogus"), "method"),
     (lambda: OnlineDetector(MODEL, 0.5, method="bogus"), "method"),
     (lambda: StreamingExtractor(warmup=NAN), "warmup"),
